@@ -29,7 +29,6 @@ from .lie_conformal import (
     free_fermion,
     j_products,
     lambda_bracket,
-    mode_commutator,
     neveu_schwarz,
     sl2_current,
     uncharged_superfermions,
@@ -40,6 +39,7 @@ from .mode_algebra import (
     ModeSymbol,
     commute,
     mode,
+    mode_commutator,
     normalize_derivative_mode,
     verify_mode_jacobi,
 )
@@ -48,6 +48,7 @@ from .vertex_calc import (
     VertexElement,
     borcherds_identity_check,
     borcherds_nproducts_check,
+    borcherds_sweep,
     fermion_conformal_vector,
     mode_of_primary,
     normal_product,

@@ -92,6 +92,9 @@ def main(argv=None) -> int:
     except ValueError:
         print("vacalc: --range and --max-lambda-degree take integers", file=sys.stderr)
         return 2
+    if index_range < 1:
+        print(f"vacalc: --range must be at least 1, got {index_range}", file=sys.stderr)
+        return 2
 
     try:
         if "algebra" in options and "builtin" in options:

@@ -626,7 +626,7 @@ def parse_definition(text: str) -> AlgebraPresentation:
         if skeleton.index(a) <= skeleton.index(b):
             table[(a, b)] = poly
         else:
-            sign = -skeleton.sign(skeleton.parity(a), skeleton.parity(b))
+            sign = -skeleton.parity(a).sign_with(skeleton.parity(b))
             table[(b, a)] = substitute_skew(poly).scale(sign)
     try:
         return AlgebraPresentation(

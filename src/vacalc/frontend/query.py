@@ -146,7 +146,7 @@ def run_query(
         elif name == "mode-jacobi":
             report = mode_algebra.verify_mode_jacobi(alg, index_range)
         else:
-            report = _borcherds_sweep(alg, index_range)
+            report = vx.borcherds_sweep(alg, index_range)
         exit_code = 0 if report.passed else 1
         if fmt == "json":
             return render_result(report, "json", alg.name, str(query)), exit_code
@@ -167,22 +167,3 @@ def run_query(
 
     raise ParseError(f"unknown query {query.kind!r}")
 
-
-def _borcherds_sweep(alg: AlgebraPresentation, index_range: int):
-    from ..lie_conformal import CheckReport
-
-    states = [vx.state(alg, g.name) for g in alg.generators]
-    failures = []
-    checked = 0
-    span = range(-index_range, index_range + 1)
-    for a in states:
-        for b in states:
-            for c in states:
-                for m in span:
-                    for n in span:
-                        for q in span:
-                            report = vx.borcherds_identity_check(a, b, c, m, n, q, alg)
-                            checked += 1
-                            if not report.passed:
-                                failures.append(report)
-    return CheckReport("borcherds", alg.name, checked, failures)

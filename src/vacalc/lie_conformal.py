@@ -298,9 +298,6 @@ class AlgebraPresentation:
             raise ParityError(f"element {x} mixes parities")
         return parities.pop() if parities else Parity.EVEN
 
-    def sign(self, pa: Parity, pb: Parity) -> int:
-        return pa.sign_with(pb)
-
     # -- validation -------------------------------------------------------------
 
     def _check_pair(self, a: str, b: str):
@@ -346,7 +343,7 @@ class AlgebraPresentation:
         stored = self.table.get((b, a))
         if stored is None:
             return BracketPoly.zero(("lambda",))
-        sign = -self.sign(self.parity(a), self.parity(b))
+        sign = -self.parity(a).sign_with(self.parity(b))
         return substitute_skew(stored).scale(sign)
 
     def __eq__(self, other):
@@ -460,7 +457,7 @@ def check_skew(alg: AlgebraPresentation) -> CheckReport:
         for b in gens[i:]:
             xa, xb = alg.gen(a), alg.gen(b)
             lhs = lambda_bracket(xb, xa, alg)
-            sign = -alg.sign(alg.parity(a), alg.parity(b))
+            sign = -alg.parity(a).sign_with(alg.parity(b))
             rhs = substitute_skew(lambda_bracket(xa, xb, alg)).scale(sign)
             diff = lhs.sub(rhs)
             checked += 1
@@ -498,7 +495,7 @@ def check_jacobi(alg: AlgebraPresentation) -> CheckReport:
                     middle = middle.add(
                         substitute_sum(inner).shift_power("lambda", i)
                     )
-                sign = alg.sign(alg.parity(a), alg.parity(b))
+                sign = alg.parity(a).sign_with(alg.parity(b))
                 third = _nested_bracket(xb, lambda_bracket(xa, xc, alg), alg, 1).scale(
                     sign
                 )
@@ -507,13 +504,6 @@ def check_jacobi(alg: AlgebraPresentation) -> CheckReport:
                 if not diff.is_zero():
                     failures.append(CheckFailure((a, b, c), diff))
     return CheckReport("jacobi", alg.name, checked, failures)
-
-
-def mode_commutator(a: str, m, b: str, n, alg: AlgebraPresentation, indexing="shifted"):
-    """Commutator of Fourier modes; see :mod:`vacalc.mode_algebra`."""
-    from . import mode_algebra
-
-    return mode_algebra.mode_commutator(a, m, b, n, alg, indexing)
 
 
 # ---------------------------------------------------------------------------

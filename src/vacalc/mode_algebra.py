@@ -272,14 +272,13 @@ def commute(a: ModeSymbol, b: ModeSymbol, alg: AlgebraPresentation) -> ModeExpre
     return mode_commutator(a.gen, a.index, b.gen, b.index, alg, a.indexing)
 
 
-def _expr_commutator(
-    x: ModeExpression, y: ModeExpression, alg: AlgebraPresentation
-) -> ModeExpression:
-    """Bilinear extension of the mode commutator; centrals commute."""
+def _expr_commutator(x: ModeExpression, y: ModeExpression, comm) -> ModeExpression:
+    """Bilinear extension of a mode commutator ``comm(a, b)`` on symbols;
+    centrals commute."""
     out = ModeExpression.zero()
     for sa, va in x.terms.items():
         for sb, vb in y.terms.items():
-            out = out.add(commute(sa, sb, alg).scale(va * vb))
+            out = out.add(comm(sa, sb).scale(va * vb))
     return out
 
 
@@ -320,65 +319,58 @@ def verify_mode_jacobi(
         weights = [g.weight for g in alg.generators]
         indexing = WEIGHT if all(w is not None for w in weights) else SHIFTED
     gens = [g.name for g in alg.generators]
-    grids = {g: _index_grid(alg, g, index_range, indexing) for g in gens}
+    grids = {
+        g: [mode(g, i, indexing) for i in _index_grid(alg, g, index_range, indexing)]
+        for g in gens
+    }
     failures = []
     checked = 0
-    pair_cache: dict = {}
+    table: dict = {}
 
-    def comm(ga, i, gb, j):
-        key = (ga, i, gb, j)
-        if key not in pair_cache:
-            pair_cache[key] = mode_commutator(ga, i, gb, j, alg, indexing)
-        return pair_cache[key]
+    def comm(x: ModeSymbol, y: ModeSymbol) -> ModeExpression:
+        key = (x, y)
+        out = table.get(key)
+        if out is None:
+            out = table[key] = commute(x, y, alg)
+        return out
+
+    single = {x: ModeExpression(terms={x: 1}) for grid in grids.values() for x in grid}
 
     for a in gens:
         for b in gens:
-            sign_ab = alg.sign(alg.parity(a), alg.parity(b))
-            for i in grids[a]:
-                for j in grids[b]:
-                    lhs = comm(a, i, b, j)
-                    rhs = comm(b, j, a, i).scale(-sign_ab)
+            sign_ab = alg.parity(a).sign_with(alg.parity(b))
+            for x in grids[a]:
+                for y in grids[b]:
+                    lhs = comm(x, y)
+                    rhs = comm(y, x).scale(-sign_ab)
                     checked += 1
                     diff = lhs.sub(rhs)
                     if not diff.is_zero():
                         failures.append(
-                            ModeFailure("antisymmetry", (f"{a}_{i}", f"{b}_{j}"), diff)
+                            ModeFailure("antisymmetry", _subject(x, y), diff)
                         )
     for a in gens:
         for b in gens:
-            sign_ab = alg.sign(alg.parity(a), alg.parity(b))
+            sign_ab = alg.parity(a).sign_with(alg.parity(b))
             for c in gens:
-                for i in grids[a]:
-                    for j in grids[b]:
-                        for k in grids[c]:
-                            inner_bc = comm(b, j, c, k)
-                            lhs = _expr_commutator(
-                                ModeExpression(
-                                    terms={mode(a, i, indexing): 1}
-                                ),
-                                inner_bc,
-                                alg,
-                            )
-                            inner_ab = comm(a, i, b, j)
-                            first = _expr_commutator(
-                                inner_ab,
-                                ModeExpression(terms={mode(c, k, indexing): 1}),
-                                alg,
-                            )
-                            inner_ac = comm(a, i, c, k)
+                for x in grids[a]:
+                    for y in grids[b]:
+                        for z in grids[c]:
+                            lhs = _expr_commutator(single[x], comm(y, z), comm)
+                            first = _expr_commutator(comm(x, y), single[z], comm)
                             second = _expr_commutator(
-                                ModeExpression(terms={mode(b, j, indexing): 1}),
-                                inner_ac,
-                                alg,
+                                single[y], comm(x, z), comm
                             ).scale(sign_ab)
                             checked += 1
                             diff = lhs.sub(first).sub(second)
                             if not diff.is_zero():
                                 failures.append(
-                                    ModeFailure(
-                                        "jacobi",
-                                        (f"{a}_{i}", f"{b}_{j}", f"{c}_{k}"),
-                                        diff,
-                                    )
+                                    ModeFailure("jacobi", _subject(x, y, z), diff)
                                 )
     return CheckReport("mode-jacobi", alg.name, checked, failures)
+
+
+def _subject(*symbols: ModeSymbol) -> tuple:
+    """Failure subjects name modes as ``gen_index`` with the index as a
+    rational, e.g. ``G_-1/2``."""
+    return tuple(f"{s.gen}_{s.index.as_rational()}" for s in symbols)

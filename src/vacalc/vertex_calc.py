@@ -24,6 +24,7 @@ from typing import Iterable, Mapping
 
 from .lie_conformal import (
     AlgebraPresentation,
+    CheckReport,
     ConformalElement,
     Parity,
     ParityError,
@@ -89,7 +90,7 @@ def _render_atoms(atoms) -> str:
 class VertexElement:
     """State of the vertex algebra attached to a presentation."""
 
-    __slots__ = ("alg", "words", "vacuum", "centrals")
+    __slots__ = ("alg", "words", "vacuum", "centrals", "_hash")
 
     def __init__(self, alg: AlgebraPresentation, words=None, vacuum=0, centrals=None):
         self.alg = alg
@@ -176,15 +177,11 @@ class VertexElement:
 
     def translate(self) -> "VertexElement":
         """The translation operator T: Leibniz on words, zero on the vacuum
-        and on centrals.  Words are re-canonicalized (a raised derivative can
-        create a repeated odd atom that must reduce)."""
+        and on centrals."""
         eng = engine(self.alg)
         out = zero(self.alg)
         for word, value in self.words.items():
-            for i in range(len(word)):
-                atoms = list(word.atoms)
-                atoms[i] = (atoms[i][0], atoms[i][1] + 1)
-                out = out.add(eng.word_element(atoms).scale(value))
+            out = out.add(eng.translate_word(word).scale(value))
         return out
 
     def translate_power(self, k: int) -> "VertexElement":
@@ -202,6 +199,16 @@ class VertexElement:
             and self.vacuum == other.vacuum
             and self.centrals == other.centrals
         )
+
+    def __hash__(self):
+        # States are immutable, so the hash is computed once, on first use.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(
+                (frozenset(self.words.items()), self.vacuum, frozenset(self.centrals.items()))
+            )
+            return self._hash
 
     def __str__(self):
         from .lie_conformal import _join, _scaled
@@ -273,6 +280,7 @@ class VertexEngine:
         self.max_lambda_degree = max_lambda_degree
         self._bracket_cache: dict = {}
         self._insert_cache: dict = {}
+        self._translate_cache: dict = {}
         self._depth = 0
 
     # -- structural helpers ------------------------------------------------------
@@ -319,6 +327,20 @@ class VertexEngine:
         for atom in reversed(atoms[:-1]):
             out = self.insert_atom(atom, out)
         return out
+
+    def translate_word(self, word: NormalWord) -> VertexElement:
+        """``T(word)`` in canonical form: Leibniz over the atoms, each term
+        re-canonicalized (a raised derivative can create a repeated odd atom
+        that must reduce)."""
+        cached = self._translate_cache.get(word)
+        if cached is not None:
+            return cached
+        result = zero(self.alg)
+        for i, (g, d) in enumerate(word.atoms):
+            atoms = word.atoms[:i] + ((g, d + 1),) + word.atoms[i + 1:]
+            result = result.add(self.word_element(atoms))
+        self._translate_cache[word] = result
+        return result
 
     def atom_element(self, atom) -> VertexElement:
         return VertexElement(self.alg, words={NormalWord((atom,)): 1})
@@ -677,6 +699,30 @@ def borcherds_nproducts_check(
     return IdentityReport("borcherds-n-products", (f"n={n}",), lhs, rhs)
 
 
+class _ProductTable:
+    """n-products and bracket degrees of elements, memoized for as long as
+    the table lives: one identity, or one generator triple of a sweep."""
+
+    def __init__(self, eng: VertexEngine):
+        self.eng = eng
+        self._products: dict = {}
+        self._degrees: dict = {}
+
+    def nproduct(self, x: VertexElement, n: int, y: VertexElement) -> VertexElement:
+        key = (x, n, y)
+        out = self._products.get(key)
+        if out is None:
+            out = self._products[key] = self.eng.nproduct(x, n, y)
+        return out
+
+    def degree(self, x: VertexElement, y: VertexElement) -> int:
+        key = (x, y)
+        out = self._degrees.get(key)
+        if out is None:
+            out = self._degrees[key] = self.eng.bracket(x, y).degree("lambda")
+        return out
+
+
 def borcherds_identity_check(
     a: VertexElement,
     b: VertexElement,
@@ -693,33 +739,60 @@ def borcherds_identity_check(
     All sums are finite: positive products vanish beyond the bracket degree.
     At q = 0 this is the graded mode-commutator formula.
     """
-    eng = engine(alg or a.alg)
-    deg_ab = eng.bracket(a, b).degree("lambda")
+    table = _ProductTable(engine(alg or a.alg))
+    return _borcherds_identity(table, a, b, c, m, n, q)
+
+
+def _borcherds_identity(table: _ProductTable, a, b, c, m, n, q) -> IdentityReport:
+    eng = table.eng
     lhs = zero(eng.alg)
-    for i in range(max(0, deg_ab - q) + 1):
+    for i in range(max(0, table.degree(a, b) - q) + 1):
         coeff = binom(m, i)
         if not coeff:
             continue
-        inner = eng.nproduct(a, q + i, b)
+        inner = table.nproduct(a, q + i, b)
         if inner.is_zero():
             continue
-        lhs = lhs.add(eng.nproduct(inner, m + n - i, c).scale(coeff))
-    deg_bc = eng.bracket(b, c).degree("lambda")
-    deg_ac = eng.bracket(a, c).degree("lambda")
+        lhs = lhs.add(table.nproduct(inner, m + n - i, c).scale(coeff))
     if q >= 0:
         imax = q
     else:
-        imax = max(0, deg_bc - n, deg_ac - m)
+        imax = max(0, table.degree(b, c) - n, table.degree(a, c) - m)
     sign_q = Fraction(-1) ** q * eng.element_parity(a).sign_with(eng.element_parity(b))
     rhs = zero(eng.alg)
     for i in range(imax + 1):
         coeff = binom(q, i) * Fraction(-1) ** i
         if not coeff:
             continue
-        first = eng.nproduct(a, m + q - i, eng.nproduct(b, n + i, c))
-        second = eng.nproduct(b, n + q - i, eng.nproduct(a, m + i, c))
+        first = table.nproduct(a, m + q - i, table.nproduct(b, n + i, c))
+        second = table.nproduct(b, n + q - i, table.nproduct(a, m + i, c))
         rhs = rhs.add(first.sub(second.scale(sign_q)).scale(coeff))
     return IdentityReport("borcherds-identity", (f"m={m}", f"n={n}", f"q={q}"), lhs, rhs)
+
+
+def borcherds_sweep(alg: AlgebraPresentation, index_range: int) -> CheckReport:
+    """The master identity for every generator triple and every m, n, q in
+    [-range, range].  The identities of one triple share an n-product table,
+    which is dropped before the next triple."""
+    if index_range < 1:
+        raise ValueError("index range must be at least 1")
+    eng = engine(alg)
+    states = [state(alg, g.name) for g in alg.generators]
+    span = range(-index_range, index_range + 1)
+    failures = []
+    checked = 0
+    for a in states:
+        for b in states:
+            for c in states:
+                table = _ProductTable(eng)
+                for m in span:
+                    for n in span:
+                        for q in span:
+                            report = _borcherds_identity(table, a, b, c, m, n, q)
+                            checked += 1
+                            if not report.passed:
+                                failures.append(report)
+    return CheckReport("borcherds", alg.name, checked, failures)
 
 
 # -- weights ------------------------------------------------------------------

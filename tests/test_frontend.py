@@ -1,4 +1,6 @@
 import json
+from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -12,13 +14,17 @@ from vacalc.frontend import (
 from vacalc.frontend.cli import main
 from vacalc.frontend.parser import parse_element, parse_vertex_expr
 from vacalc.lie_conformal import (
+    GeneratorDecl,
+    Parity,
     builtin,
     check_jacobi,
     check_skew,
+    current_algebra,
     lambda_bracket,
     neveu_schwarz,
     virasoro,
 )
+from vacalc.mode_algebra import verify_mode_jacobi
 from vacalc import vertex_calc as vx
 
 VIRASORO_FILE = """
@@ -272,3 +278,76 @@ def test_cli_borcherds_sweep(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "ok" in captured.out
+
+
+@pytest.mark.parametrize("check", ["skew", "jacobi", "borcherds", "mode-jacobi"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_range_below_one_rejected(capsys, check, value):
+    code = main(["--builtin", "free_fermion", "--range", value, "check", check])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"vacalc: --range must be at least 1, got {value}\n"
+
+
+# Failures of the sl2 current algebra with the (f, h) entry corrupted from
+# [f_l h] = 2f to 3f, as reported by the uncached sweeps.  Only the six
+# orderings of (e, f, h) fail; listed per triple in sweep order.
+CORRUPT_SL2_BORCHERDS = {
+    ("e", "f", "h"): [(-1, 0, 1), (0, -1, 1), (0, 0, 0), (0, 0, 1), (1, -1, 1), (1, 0, -1), (1, 0, 0)],
+    ("e", "h", "f"): [
+        (-1, -1, 1), (-1, 0, 1), (0, -1, 0), (0, 0, 0), (0, 0, 1),
+        (1, -1, -1), (1, -1, 0), (1, -1, 1), (1, 0, -1), (1, 0, 0),
+    ],
+    ("f", "e", "h"): [(-1, 0, 1), (-1, 1, 1), (0, -1, 1), (0, 0, 0), (0, 0, 1), (0, 1, -1), (0, 1, 0)],
+    ("f", "h", "e"): [
+        (-1, -1, -1), (-1, -1, 0), (-1, 0, -1), (-1, 0, 0), (-1, 1, -1), (-1, 1, 0), (0, -1, 0),
+        (0, 0, 0), (0, 1, 0), (1, -1, -1), (1, -1, 0), (1, 0, -1), (1, 0, 0), (1, 1, -1),
+    ],
+    ("h", "e", "f"): [
+        (-1, -1, 1), (-1, 0, 0), (-1, 1, -1), (-1, 1, 0), (-1, 1, 1),
+        (0, -1, 1), (0, 0, 0), (0, 0, 1), (0, 1, -1), (0, 1, 0),
+    ],
+    ("h", "f", "e"): [
+        (-1, -1, -1), (-1, -1, 0), (-1, 0, 0), (-1, 1, -1), (-1, 1, 0), (0, -1, -1), (0, -1, 0),
+        (0, 0, 0), (0, 1, -1), (0, 1, 0), (1, -1, -1), (1, -1, 0), (1, 0, 0), (1, 1, -1),
+    ],
+}
+
+
+def corrupt_sl2():
+    basis = tuple(GeneratorDecl(g, Parity.EVEN, Fraction(1)) for g in "efh")
+    brackets = {("e", "f"): {"h": 1}, ("e", "h"): {"e": -2}, ("f", "h"): {"f": 3}}
+    form = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
+    return current_algebra(basis, brackets, form, name="current_sl2", validate=False)
+
+
+def test_sweeps_report_every_failure_of_a_corrupt_table():
+    alg = corrupt_sl2()
+    report = vx.borcherds_sweep(alg, 1)
+    assert (report.checked, len(report.failures)) == (729, 62)
+    expected = [
+        (f"m={m}", f"n={n}", f"q={q}")
+        for triple in sorted(CORRUPT_SL2_BORCHERDS)
+        for m, n, q in CORRUPT_SL2_BORCHERDS[triple]
+    ]
+    assert [f.subject for f in report.failures] == expected
+    # The single-identity entry point agrees, one fresh table per identity.
+    states = {g: vx.state(alg, g) for g in "efh"}
+    for (a, b, c), failing in CORRUPT_SL2_BORCHERDS.items():
+        for m, n, q in product((-1, 0, 1), repeat=3):
+            single = vx.borcherds_identity_check(states[a], states[b], states[c], m, n, q, alg)
+            assert single.passed == ((m, n, q) not in failing), (a, b, c, m, n, q)
+
+    report = verify_mode_jacobi(alg, 1)
+    assert (report.checked, len(report.failures)) == (810, 162)
+    expected = {
+        ("jacobi", (f"{a}_{i}", f"{b}_{j}", f"{c}_{k}"))
+        for a, b, c in permutations("efh")
+        for i, j, k in product((-1, 0, 1), repeat=3)
+    }
+    assert {(f.kind, f.subject) for f in report.failures} == expected
+
+    for check in ("borcherds", "mode-jacobi"):
+        _, code = run_query(parse_query(["check", check]), corrupt_sl2(), index_range=1)
+        assert code == 1

@@ -172,6 +172,57 @@ def test_word_reordering_sign(fermion2):
     assert backward == forward.scale(-1)
 
 
+SUPERFERMION_FILE = """
+algebra superfermion {
+  generator b1 : even, weight 1/2;
+  generator b2 : even, weight 1/2;
+  generator psi1 : odd, weight 1/2;
+  generator psi2 : odd, weight 1/2;
+  central K : even acts 1;
+  bracket [b1, b2] = K;
+  bracket [psi1, psi1] = K;
+  bracket [psi2, psi2] = K;
+}
+"""
+
+
+def leibniz_translate(x):
+    """T(x) summed term by term: raise one atom, re-canonicalize the word."""
+    out = vx.zero(x.alg)
+    for word, value in x.words.items():
+        for i, (g, d) in enumerate(word.atoms):
+            atoms = list(word.atoms)
+            atoms[i] = (g, d + 1)
+            out = out.add(vx.normal_word(x.alg, atoms).scale(value))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, words",
+    [
+        # a raised derivative meets an equal odd atom: d(G) d(G), d(psi1) d(psi1)
+        ("ns", [[("G", 1), ("G", 0)], [("L", 0), ("G", 1), ("G", 0)], [("G", 0), ("G", 0)]]),
+        ("vac", [[("psi1", 1), ("psi1", 0)], [("b1", 0), ("psi2", 1), ("psi2", 0)], [("b2", 1), ("b1", 0)]]),
+        ("vir", [[("L", 1), ("L", 0)], [("L", 0), ("L", 0), ("L", 0)]]),
+    ],
+)
+def test_translate_memo_matches_leibniz(ns, vir, name, words):
+    from vacalc.frontend import parse_definition
+
+    alg = {"ns": ns, "vir": vir, "vac": parse_definition(SUPERFERMION_FILE)}[name]
+    for atoms in words:
+        x = vx.normal_word(alg, atoms).scale(3)
+        expected = leibniz_translate(x)
+        first = x.translate()
+        assert first == expected, atoms
+        assert x.translate() == expected
+        # results are values: combining them leaves the memo untouched
+        first.scale(5).add(first)
+        first.add(x).sub(x)
+        assert x.translate() == expected
+        assert x.translate_power(2) == leibniz_translate(expected)
+
+
 # -- quasi-commutativity ------------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .poly import BracketPoly
-from .scalar import Scalar, ScalarLike, binom, factorial
+from .scalar import LinearCombination, Scalar, ScalarLike, binom, factorial, sparse_sum
 
 Z_DOMINANT = "z_dominant"
 W_DOMINANT = "w_dominant"
@@ -29,19 +29,14 @@ class NonLocalError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class OneVarLaurent:
+class OneVarLaurent(LinearCombination):
     """Finite-support Laurent polynomial ``sum_n a_n z^n`` with Scalar a_n."""
 
     __slots__ = ("coeffs",)
+    _parts = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, ScalarLike] | None = None):
-        clean = {}
-        if coeffs:
-            for exp, value in coeffs.items():
-                value = Scalar.coerce(value)
-                if not value.is_zero():
-                    clean[int(exp)] = value
-        self.coeffs = clean
+        self.coeffs = self._nonzero(coeffs, key=int)
 
     @classmethod
     def zero(cls) -> "OneVarLaurent":
@@ -55,71 +50,22 @@ class OneVarLaurent:
     def monomial(cls, exp: int, coeff: ScalarLike = 1) -> "OneVarLaurent":
         return cls({exp: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coefficient(self, exp: int) -> Scalar:
         return self.coeffs.get(exp, Scalar.zero())
 
-    def add(self, other: "OneVarLaurent") -> "OneVarLaurent":
-        out = dict(self.coeffs)
-        for exp, value in other.coeffs.items():
-            new = out.get(exp, Scalar.zero()) + value
-            if new.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = new
-        result = OneVarLaurent.__new__(OneVarLaurent)
-        result.coeffs = out
-        return result
-
-    def neg(self) -> "OneVarLaurent":
-        return self.scale(-1)
-
-    def sub(self, other: "OneVarLaurent") -> "OneVarLaurent":
-        return self.add(other.neg())
-
-    def scale(self, factor: ScalarLike) -> "OneVarLaurent":
-        factor = Scalar.coerce(factor)
-        out = {}
-        for exp, value in self.coeffs.items():
-            new = value * factor
-            if not new.is_zero():
-                out[exp] = new
-        result = OneVarLaurent.__new__(OneVarLaurent)
-        result.coeffs = out
-        return result
-
     def mul(self, other: "OneVarLaurent") -> "OneVarLaurent":
-        out: dict = {}
-        for e1, v1 in self.coeffs.items():
-            for e2, v2 in other.coeffs.items():
-                exp = e1 + e2
-                new = out.get(exp, Scalar.zero()) + v1 * v2
-                if new.is_zero():
-                    out.pop(exp, None)
-                else:
-                    out[exp] = new
-        result = OneVarLaurent.__new__(OneVarLaurent)
-        result.coeffs = out
-        return result
+        """The product: one shifted copy of ``self`` per term of ``other``."""
+        return self._build(
+            sparse_sum(
+                ({e1 + e2: v1 for e1, v1 in self.coeffs.items()}, v2)
+                for e2, v2 in other.coeffs.items()
+            )
+        )
 
     def derive(self) -> "OneVarLaurent":
-        out = {}
-        for exp, value in self.coeffs.items():
-            if exp != 0:
-                out[exp - 1] = value * exp
-        result = OneVarLaurent.__new__(OneVarLaurent)
-        result.coeffs = out
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, OneVarLaurent):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return self._build(
+            {exp - 1: value * exp for exp, value in self.coeffs.items() if exp != 0}
+        )
 
     def to_json(self):
         return [
@@ -193,7 +139,7 @@ class TruncatedSeries:
             if exp == 0:
                 continue
             key = (ze - 1, we) if idx == 0 else (ze, we - 1)
-            out[key] = out.get(key, Scalar.zero()) + value * exp
+            out[key] = value * exp
         order = self.order
         if self.trunc_var == var and order is not None:
             order -= 1
@@ -205,12 +151,10 @@ class TruncatedSeries:
         The result is truncated where knowledge runs out: order shifts by the
         smallest subordinate-variable exponent appearing in the polynomial.
         """
-        out: dict = {}
-        for (ze, we), value in self.coeffs:
-            for (pz, pw), pv in poly.items():
-                key = (ze + pz, we + pw)
-                new = out.get(key, Scalar.zero()) + value * Scalar.coerce(pv)
-                out[key] = new
+        out = sparse_sum(
+            ({(ze + pz, we + pw): value for (ze, we), value in self.coeffs}, pv)
+            for (pz, pw), pv in poly.items()
+        )
         order = self.order
         if self.trunc_var is not None and order is not None and poly:
             idx = 0 if self.trunc_var == "z" else 1
@@ -270,7 +214,7 @@ def expand_power(k: int, orientation: str, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-class TwoVarDistribution:
+class TwoVarDistribution(LinearCombination):
     """Delta ladder plus finite bivariate Laurent part.
 
     ``singular[j] = c_j`` encodes ``c_j(w) * d_w^j delta(z,w) / j!``;
@@ -278,23 +222,11 @@ class TwoVarDistribution:
     """
 
     __slots__ = ("singular", "regular")
+    _parts = ("singular", "regular")
 
     def __init__(self, singular=None, regular=None):
-        sing = {}
-        if singular:
-            for j, c in dict(singular).items():
-                if j < 0:
-                    raise ValueError("ladder indices must be non-negative")
-                if not c.is_zero():
-                    sing[int(j)] = c
-        reg = {}
-        if regular:
-            for key, value in dict(regular).items():
-                value = Scalar.coerce(value)
-                if not value.is_zero():
-                    reg[(int(key[0]), int(key[1]))] = value
-        self.singular = sing
-        self.regular = reg
+        self.singular = self._nonzero(singular, key=_ladder_index, coerce=None)
+        self.regular = self._nonzero(regular, key=lambda key: (int(key[0]), int(key[1])))
 
     @classmethod
     def zero(cls) -> "TwoVarDistribution":
@@ -303,52 +235,6 @@ class TwoVarDistribution:
     @classmethod
     def from_regular(cls, regular) -> "TwoVarDistribution":
         return cls(regular=regular)
-
-    def is_zero(self) -> bool:
-        return not self.singular and not self.regular
-
-    def add(self, other: "TwoVarDistribution") -> "TwoVarDistribution":
-        sing = dict(self.singular)
-        for j, c in other.singular.items():
-            new = sing.get(j, OneVarLaurent.zero()).add(c)
-            if new.is_zero():
-                sing.pop(j, None)
-            else:
-                sing[j] = new
-        reg = dict(self.regular)
-        for key, value in other.regular.items():
-            new = reg.get(key, Scalar.zero()) + value
-            if new.is_zero():
-                reg.pop(key, None)
-            else:
-                reg[key] = new
-        out = TwoVarDistribution.__new__(TwoVarDistribution)
-        out.singular = sing
-        out.regular = reg
-        return out
-
-    def neg(self) -> "TwoVarDistribution":
-        return self.scale(-1)
-
-    def sub(self, other: "TwoVarDistribution") -> "TwoVarDistribution":
-        return self.add(other.neg())
-
-    def scale(self, factor: ScalarLike) -> "TwoVarDistribution":
-        out = TwoVarDistribution.__new__(TwoVarDistribution)
-        out.singular = {
-            j: c for j, c in ((j, c.scale(factor)) for j, c in self.singular.items())
-            if not c.is_zero()
-        }
-        out.regular = {
-            k: v for k, v in ((k, v * Scalar.coerce(factor)) for k, v in self.regular.items())
-            if not v.is_zero()
-        }
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, TwoVarDistribution):
-            return NotImplemented
-        return self.singular == other.singular and self.regular == other.regular
 
     def __str__(self):
         parts = []
@@ -375,6 +261,12 @@ class TwoVarDistribution:
         }
 
 
+def _ladder_index(j) -> int:
+    if j < 0:
+        raise ValueError("ladder indices must be non-negative")
+    return int(j)
+
+
 def delta() -> TwoVarDistribution:
     """The formal Dirac distribution ``delta(z, w)``."""
     return TwoVarDistribution(singular={0: OneVarLaurent.unit()})
@@ -393,21 +285,17 @@ def mul_zw_power(a: TwoVarDistribution, m: int) -> TwoVarDistribution:
     """
     if m < 0:
         raise ValueError("only non-negative powers of (z-w) are defined here")
-    sing = {}
-    for j, c in a.singular.items():
-        if j - m >= 0:
-            sing[j - m] = c
-    reg: dict = {}
-    for (ze, we), value in a.regular.items():
-        for i in range(m + 1):
-            coeff = binom(m, i) * Fraction(-1) ** (m - i)
-            key = (ze + i, we + m - i)
-            new = reg.get(key, Scalar.zero()) + value * coeff
-            if new.is_zero():
-                reg.pop(key, None)
-            else:
-                reg[key] = new
-    return TwoVarDistribution(singular=sing, regular=reg)
+    sing = {j - m: c for j, c in a.singular.items() if j - m >= 0}
+    # The binomial coefficients cost O(m^2); a local distribution needs none.
+    shifts = range(m + 1) if a.regular else ()
+    reg = sparse_sum(
+        (
+            {(ze + i, we + m - i): value for (ze, we), value in a.regular.items()},
+            binom(m, i) * Fraction(-1) ** (m - i),
+        )
+        for i in shifts
+    )
+    return a._build(sing, reg)
 
 
 def derive(a: TwoVarDistribution, var: str) -> TwoVarDistribution:
@@ -416,50 +304,24 @@ def derive(a: TwoVarDistribution, var: str) -> TwoVarDistribution:
     On the ladder: ``d_w`` obeys the product rule and raises the index with a
     factor of (j+1); ``d_z`` lowers through ``d_z delta = -d_w delta``.
     """
-    sing: dict = {}
-
-    def bump(j, c):
-        if c.is_zero():
-            return
-        new = sing.get(j, OneVarLaurent.zero()).add(c)
-        if new.is_zero():
-            sing.pop(j, None)
-        else:
-            sing[j] = new
-
     if var == "w":
-        for j, c in a.singular.items():
-            bump(j, c.derive())
-            bump(j + 1, c.scale(j + 1))
-        reg = {}
-        for (ze, we), value in a.regular.items():
-            if we != 0:
-                key = (ze, we - 1)
-                reg[key] = reg.get(key, Scalar.zero()) + value * we
-        reg = {k: v for k, v in reg.items() if not v.is_zero()}
-        return TwoVarDistribution(singular=sing, regular=reg)
+        derived = ((j, c.derive()) for j, c in a.singular.items())
+        lowered = {j: c for j, c in derived if not c.is_zero()}
+        raised = {j + 1: c.scale(j + 1) for j, c in a.singular.items()}
+        reg = {(ze, we - 1): value * we for (ze, we), value in a.regular.items() if we != 0}
+        return a._build(sparse_sum(((lowered, 1), (raised, 1))), reg)
     if var == "z":
         # d_z (c_j d_w^j delta / j!) = -(j+1) c_j d_w^(j+1) delta / (j+1)!
-        for j, c in a.singular.items():
-            bump(j + 1, c.scale(-(j + 1)))
-        reg = {}
-        for (ze, we), value in a.regular.items():
-            if ze != 0:
-                key = (ze - 1, we)
-                reg[key] = reg.get(key, Scalar.zero()) + value * ze
-        reg = {k: v for k, v in reg.items() if not v.is_zero()}
-        return TwoVarDistribution(singular=sing, regular=reg)
+        sing = {j + 1: c.scale(-(j + 1)) for j, c in a.singular.items()}
+        reg = {(ze - 1, we): value * ze for (ze, we), value in a.regular.items() if ze != 0}
+        return a._build(sing, reg)
     raise ValueError(f"unknown variable {var!r}")
 
 
 def residue_z(a: TwoVarDistribution) -> OneVarLaurent:
     """``Res_z`` of the distribution, a one-variable object in w."""
     out = a.singular.get(0, OneVarLaurent.zero())
-    extra = {}
-    for (ze, we), value in a.regular.items():
-        if ze == -1:
-            extra[we] = extra.get(we, Scalar.zero()) + value
-    return out.add(OneVarLaurent(extra))
+    return out.add(OneVarLaurent({we: v for (ze, we), v in a.regular.items() if ze == -1}))
 
 
 def mul_one_var(a: TwoVarDistribution, f: OneVarLaurent, var: str) -> TwoVarDistribution:
@@ -471,42 +333,26 @@ def mul_one_var(a: TwoVarDistribution, f: OneVarLaurent, var: str) -> TwoVarDist
     if var == "w":
         sing = {j: c.mul(f) for j, c in a.singular.items()}
         sing = {j: c for j, c in sing.items() if not c.is_zero()}
-        reg: dict = {}
-        for (ze, we), value in a.regular.items():
-            for exp, coeff in f.coeffs.items():
-                key = (ze, we + exp)
-                new = reg.get(key, Scalar.zero()) + value * coeff
-                if new.is_zero():
-                    reg.pop(key, None)
-                else:
-                    reg[key] = new
-        return TwoVarDistribution(singular=sing, regular=reg)
+        reg = sparse_sum(
+            ({(ze, we + exp): value for (ze, we), value in a.regular.items()}, coeff)
+            for exp, coeff in f.coeffs.items()
+        )
+        return a._build(sing, reg)
     if var == "z":
-        sing: dict = {}
+        terms = []
         for j, c in a.singular.items():
             df = f
             for i in range(j + 1):
                 if i > 0:
                     df = df.derive().scale(Fraction(1, i))
                 contribution = c.mul(df)
-                if contribution.is_zero():
-                    continue
-                key = j - i
-                new = sing.get(key, OneVarLaurent.zero()).add(contribution)
-                if new.is_zero():
-                    sing.pop(key, None)
-                else:
-                    sing[key] = new
-        reg: dict = {}
-        for (ze, we), value in a.regular.items():
-            for exp, coeff in f.coeffs.items():
-                key = (ze + exp, we)
-                new = reg.get(key, Scalar.zero()) + value * coeff
-                if new.is_zero():
-                    reg.pop(key, None)
-                else:
-                    reg[key] = new
-        return TwoVarDistribution(singular=sing, regular=reg)
+                if not contribution.is_zero():
+                    terms.append(({j - i: contribution}, 1))
+        reg = sparse_sum(
+            ({(ze + exp, we): value for (ze, we), value in a.regular.items()}, coeff)
+            for exp, coeff in f.coeffs.items()
+        )
+        return a._build(sparse_sum(terms), reg)
     raise ValueError(f"unknown variable {var!r}")
 
 
@@ -517,24 +363,24 @@ def swap_zw(a: TwoVarDistribution) -> TwoVarDistribution:
     ladder term ``c_j(w) d_w^j delta/j!`` becomes ``(-1)^j c_j(z) d_w^j delta/j!``
     with the one-variable factor re-expanded through the z-multiplication rule.
     """
-    out = TwoVarDistribution(regular={(n, m): v for (m, n), v in a.regular.items()})
-    for j, c in a.singular.items():
-        term = mul_one_var(delta_ladder(j), c, "z").scale(Fraction(-1) ** j)
-        out = out.add(term)
-    return out
+    out = a._build({}, {(n, m): v for (m, n), v in a.regular.items()})
+    return out.combine(
+        (mul_one_var(delta_ladder(j), c, "z"), Fraction(-1) ** j)
+        for j, c in a.singular.items()
+    )
 
 
 def fourier_one(f: OneVarLaurent, var: str = "lambda") -> BracketPoly:
     """``Res_z e^(lambda z) f(z)``: the coefficient of ``lambda^n / n!`` is the
     coefficient of ``z^(-1-n)`` in f.  Finite because f has finite support."""
-    out = BracketPoly.zero((var,))
-    for exp, value in f.coeffs.items():
-        if exp <= -1:
-            n = -1 - exp
-            out = out.add(
-                BracketPoly((var,), {(n,): value * Fraction(1, factorial(n))})
-            )
-    return out
+    return BracketPoly(
+        (var,),
+        {
+            (-1 - exp,): value * Fraction(1, factorial(-1 - exp))
+            for exp, value in f.coeffs.items()
+            if exp <= -1
+        },
+    )
 
 
 def fourier_two(
@@ -547,29 +393,28 @@ def fourier_two(
     z-exponents produces an infinite lambda series; ``order`` must then be
     given and the result is truncated below that lambda degree.
     """
-    out = BracketPoly.zero((var,))
-    for j, c in a.singular.items():
-        out = out.add(BracketPoly((var,), {(j,): c.scale(Fraction(1, factorial(j)))}))
+    ladder = {(j,): c.scale(Fraction(1, factorial(j))) for j, c in a.singular.items()}
     negative = [key for key in a.regular if key[0] < 0]
     if negative and order is None:
         raise NonLocalError(
             "regular part has negative z-exponents; pass an explicit lambda "
             f"truncation order (offending monomials: {sorted(negative)})"
         )
+    terms = [(ladder, 1)]
     for (ze, we), value in a.regular.items():
         if ze >= 0:
             continue
         i = -1 - ze  # power of (z-w) needed to reach z^(-1)
+        series = {}
         for k in range(i, order):
             coeff = (
                 binom(k, i)
                 * Fraction(-1) ** (k - i)
                 * Fraction(1, factorial(k))
             )
-            mono = OneVarLaurent.monomial(k - i + we, value * coeff)
-            if not mono.is_zero():
-                out = out.add(BracketPoly((var,), {(k,): mono}))
-    return out
+            series[(k,)] = OneVarLaurent.monomial(k - i + we, value * coeff)
+        terms.append((series, 1))
+    return BracketPoly((var,), sparse_sum(terms))
 
 
 def decompose(a: TwoVarDistribution) -> list:

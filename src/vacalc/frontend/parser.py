@@ -169,29 +169,18 @@ def _value_neg(a: _Value) -> _Value:
     return _Value(a.kind, a.data.scale(-1))
 
 
-def _scalar_poly_mul(p: BracketPoly, q: BracketPoly) -> BracketPoly:
-    out = BracketPoly.zero(("lambda",))
-    for (i,), u in p.coeffs.items():
-        for (j,), v in q.coeffs.items():
-            out = out.add(BracketPoly(("lambda",), {(i + j,): u * v}))
-    return out
-
-
-def _mixed_poly_mul(s: BracketPoly, e: BracketPoly) -> BracketPoly:
-    out = BracketPoly.zero(("lambda",))
-    for (i,), u in s.coeffs.items():
-        for (j,), elem in e.coeffs.items():
-            out = out.add(BracketPoly(("lambda",), {(i + j,): elem.scale(u)}))
-    return out
+def _times_scalar_poly(p: BracketPoly, s: BracketPoly) -> BracketPoly:
+    """``p * s`` for a lambda-polynomial ``s`` with scalar coefficients."""
+    return BracketPoly.zero(("lambda",)).combine(
+        (p.shift_power("lambda", i), u) for (i,), u in s.coeffs.items()
+    )
 
 
 def _value_mul(a: _Value, b: _Value, tok) -> _Value:
-    if a.kind == "scalar" and b.kind == "scalar":
-        return _Value("scalar", _scalar_poly_mul(a.data, b.data))
-    if a.kind == "scalar":
-        return _Value("element", _mixed_poly_mul(a.data, b.data))
     if b.kind == "scalar":
-        return _Value("element", _mixed_poly_mul(b.data, a.data))
+        return _Value(a.kind, _times_scalar_poly(a.data, b.data))
+    if a.kind == "scalar":
+        return _Value("element", _times_scalar_poly(b.data, a.data))
     raise ParseError(
         "products of generators are not defined here; use a normal word",
         tok.line,
@@ -354,7 +343,7 @@ class _VertexExprParser:
 
     def _neg(self, v):
         kind, data = v
-        return (kind, data.scale(-1) if kind == "vertex" else data * -1)
+        return (kind, data * -1)
 
     def _add(self, a, b, tok):
         if a[0] != b[0]:

@@ -94,6 +94,10 @@ def run_query(
     max_lambda_degree=None,
 ):
     """Execute a query; returns (rendered output, exit code)."""
+    if fmt == "ope" and query.kind not in ("bracket", "ope", "check"):
+        raise VacalcError(
+            f"--format ope applies to bracket and ope queries, not to {query.kind}"
+        )
     if max_lambda_degree is not None:
         vx.engine(alg, max_lambda_degree=max_lambda_degree)
     exit_code = 0

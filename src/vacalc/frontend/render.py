@@ -122,8 +122,12 @@ def render_mode_text(expr: ModeExpression) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _pin_centrals(elem: ConformalElement, alg: AlgebraPresentation):
-    """Split into (element without pinned centrals, pinned scalar part)."""
+def _pin_centrals(elem, alg: AlgebraPresentation):
+    """Split into (element without pinned centrals, pinned scalar part).  A
+    state has its pinned centrals in the vacuum already, so its vacuum
+    coefficient is the scalar part."""
+    if isinstance(elem, VertexElement):
+        return VertexElement(alg, words=elem.words, centrals=elem.centrals), elem.vacuum
     scal = Scalar.zero()
     rest_central = {}
     for cid, value in elem.central.items():

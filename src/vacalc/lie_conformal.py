@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .poly import BracketPoly, embed_bivariate, substitute_skew, substitute_sum
-from .scalar import Scalar, ScalarLike, binom, factorial
+from .scalar import LinearCombination, Scalar, ScalarLike, binom
 
 
 class VacalcError(Exception):
@@ -54,97 +54,29 @@ class Parity(enum.Enum):
 # ---------------------------------------------------------------------------
 
 
-class ConformalElement:
+class ConformalElement(LinearCombination):
     """Finite sum of ``scalar * d^n(generator)`` plus central multiples."""
 
     __slots__ = ("terms", "central")
+    _parts = ("terms", "central")
 
     def __init__(self, terms=None, central=None):
-        clean_terms = {}
-        if terms:
-            for (gen, dpow), value in dict(terms).items():
-                value = Scalar.coerce(value)
-                if dpow < 0:
-                    raise ValueError("derivative powers must be non-negative")
-                if not value.is_zero():
-                    clean_terms[(gen, int(dpow))] = value
-        clean_central = {}
-        if central:
-            for cid, value in dict(central).items():
-                value = Scalar.coerce(value)
-                if not value.is_zero():
-                    clean_central[cid] = value
-        self.terms = clean_terms
-        self.central = clean_central
+        self.terms = self._nonzero(terms, key=_derivative_key)
+        self.central = self._nonzero(central)
 
     @classmethod
     def zero(cls) -> "ConformalElement":
         return cls()
 
-    def is_zero(self) -> bool:
-        return not self.terms and not self.central
-
-    def add(self, other: "ConformalElement") -> "ConformalElement":
-        terms = dict(self.terms)
-        for key, value in other.terms.items():
-            new = terms.get(key, Scalar.zero()) + value
-            if new.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = new
-        central = dict(self.central)
-        for key, value in other.central.items():
-            new = central.get(key, Scalar.zero()) + value
-            if new.is_zero():
-                central.pop(key, None)
-            else:
-                central[key] = new
-        out = ConformalElement.__new__(ConformalElement)
-        out.terms = terms
-        out.central = central
-        return out
-
-    def neg(self) -> "ConformalElement":
-        return self.scale(-1)
-
-    def sub(self, other: "ConformalElement") -> "ConformalElement":
-        return self.add(other.neg())
-
-    def scale(self, factor: ScalarLike) -> "ConformalElement":
-        factor = Scalar.coerce(factor)
-        out = ConformalElement.__new__(ConformalElement)
-        out.terms = {
-            k: v for k, v in ((k, v * factor) for k, v in self.terms.items())
-            if not v.is_zero()
-        }
-        out.central = {
-            k: v for k, v in ((k, v * factor) for k, v in self.central.items())
-            if not v.is_zero()
-        }
-        return out
-
     def translate(self) -> "ConformalElement":
         """Apply d: raise derivative powers; centrals are torsion (d C = 0)."""
-        out = ConformalElement.__new__(ConformalElement)
-        out.terms = {(g, n + 1): v for (g, n), v in self.terms.items()}
-        out.central = {}
-        return out
+        return self._build({(g, n + 1): v for (g, n), v in self.terms.items()}, {})
 
     def translate_power(self, k: int) -> "ConformalElement":
         out = self
         for _ in range(k):
             out = out.translate()
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, ConformalElement):
-            return NotImplemented
-        return self.terms == other.terms and self.central == other.central
-
-    def __hash__(self):
-        return hash(
-            (frozenset(self.terms.items()), frozenset(self.central.items()))
-        )
 
     def __str__(self):
         parts = []
@@ -162,6 +94,13 @@ class ConformalElement:
         return _join(parts)
 
     __repr__ = __str__
+
+
+def _derivative_key(key) -> tuple:
+    gen, dpow = key
+    if dpow < 0:
+        raise ValueError("derivative powers must be non-negative")
+    return (gen, int(dpow))
 
 
 def _scaled(head: str, value: Scalar) -> str:
@@ -379,34 +318,25 @@ def lambda_bracket(
     alg._check_element_symbols(y, "bracket operand")
     alg.element_parity(x)
     alg.element_parity(y)
-    out = BracketPoly.zero(("lambda",))
+    terms = []
     for (g, m), s in sorted(x.terms.items()):
         for (h, n), t in sorted(y.terms.items()):
             base = alg.pair_bracket(g, h)
             if base.is_zero():
                 continue
-            contribution = BracketPoly.zero(("lambda",))
+            coeff = s * t * (-1) ** m
             # (d + lambda)^n applied to the entry, then (-lambda)^m in front.
             for k in range(n + 1):
-                part = base.map_coeffs(
-                    lambda e, r=n - k: e.translate_power(r)
-                ).scale(binom(n, k))
-                contribution = contribution.add(part.shift_power("lambda", k))
-            sign = Fraction(-1) ** m
-            contribution = contribution.shift_power("lambda", m).scale(sign * s * t)
-            out = out.add(contribution)
-    return out
+                part = base.map_coeffs(lambda e, r=n - k: e.translate_power(r))
+                terms.append((part.shift_power("lambda", k + m), coeff * binom(n, k)))
+    return BracketPoly.zero(("lambda",)).combine(terms)
 
 
 def j_products(
     x: ConformalElement, y: ConformalElement, alg: AlgebraPresentation
 ) -> list:
     """Nonzero products ``x_(j) y = j! * (lambda^j coefficient)``."""
-    poly = lambda_bracket(x, y, alg)
-    return [
-        (j, value.scale(factorial(j)))
-        for (j,), value in sorted(poly.coeffs.items())
-    ]
+    return lambda_bracket(x, y, alg).j_products()
 
 
 # -- axiom checkers ----------------------------------------------------------
@@ -458,8 +388,8 @@ def check_skew(alg: AlgebraPresentation) -> CheckReport:
             xa, xb = alg.gen(a), alg.gen(b)
             lhs = lambda_bracket(xb, xa, alg)
             sign = -alg.parity(a).sign_with(alg.parity(b))
-            rhs = substitute_skew(lambda_bracket(xa, xb, alg)).scale(sign)
-            diff = lhs.sub(rhs)
+            rhs = substitute_skew(lambda_bracket(xa, xb, alg))
+            diff = lhs.combine(((rhs, -sign),))
             checked += 1
             if not diff.is_zero():
                 failures.append(CheckFailure((b, a), diff))
@@ -471,11 +401,10 @@ def _nested_bracket(
 ) -> BracketPoly:
     """``[x_lambda inner]`` where inner is a polynomial in the other variable;
     outer_pos selects which slot of (lambda, mu) the new bracket variable fills."""
-    out = BracketPoly.zero(("lambda", "mu"))
-    for (k,), coeff in inner.coeffs.items():
-        b = lambda_bracket(x, coeff, alg)
-        out = out.add(embed_bivariate(b, outer_pos, k))
-    return out
+    return BracketPoly.zero(("lambda", "mu")).combine(
+        (embed_bivariate(lambda_bracket(x, coeff, alg), outer_pos, k), 1)
+        for (k,), coeff in inner.coeffs.items()
+    )
 
 
 def check_jacobi(alg: AlgebraPresentation) -> CheckReport:
@@ -489,17 +418,13 @@ def check_jacobi(alg: AlgebraPresentation) -> CheckReport:
             for c in gens:
                 xa, xb, xc = alg.gen(a), alg.gen(b), alg.gen(c)
                 lhs = _nested_bracket(xa, lambda_bracket(xb, xc, alg), alg, 0)
-                middle = BracketPoly.zero(("lambda", "mu"))
-                for (i,), coeff in lambda_bracket(xa, xb, alg).coeffs.items():
-                    inner = lambda_bracket(coeff, xc, alg)
-                    middle = middle.add(
-                        substitute_sum(inner).shift_power("lambda", i)
-                    )
-                sign = alg.parity(a).sign_with(alg.parity(b))
-                third = _nested_bracket(xb, lambda_bracket(xa, xc, alg), alg, 1).scale(
-                    sign
+                middle = (
+                    (substitute_sum(lambda_bracket(coeff, xc, alg)).shift_power("lambda", i), -1)
+                    for (i,), coeff in lambda_bracket(xa, xb, alg).coeffs.items()
                 )
-                diff = lhs.sub(middle).sub(third)
+                sign = alg.parity(a).sign_with(alg.parity(b))
+                third = _nested_bracket(xb, lambda_bracket(xa, xc, alg), alg, 1)
+                diff = lhs.combine([*middle, (third, -sign)])
                 checked += 1
                 if not diff.is_zero():
                     failures.append(CheckFailure((a, b, c), diff))

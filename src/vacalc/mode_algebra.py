@@ -13,7 +13,7 @@ as vanishing (the generic-index regime).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lie_conformal import (
@@ -23,7 +23,7 @@ from .lie_conformal import (
     VacalcError,
     j_products,
 )
-from .scalar import Scalar, ScalarLike, binom, factorial
+from .scalar import LinearCombination, Scalar, ScalarLike, binom, factorial
 
 SHIFTED = "shifted"
 WEIGHT = "weight"
@@ -34,6 +34,19 @@ class ModeSymbol:
     gen: str
     index: Scalar
     indexing: str = SHIFTED
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Symbols key the commutator tables of sweeps; hashing the index
+        # builds a frozenset of its terms, so it is done once per symbol.
+        object.__setattr__(self, "_hash", hash((self.gen, self.index, self.indexing)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # The hash depends on the interpreter's string-hash seed: recompute it.
+        return ModeSymbol, (self.gen, self.index, self.indexing)
 
     def __str__(self):
         text = str(self.index).replace(" ", "")
@@ -46,77 +59,19 @@ def mode(gen: str, index: ScalarLike, indexing: str = SHIFTED) -> ModeSymbol:
     return ModeSymbol(gen, Scalar.coerce(index), indexing)
 
 
-class ModeExpression:
+class ModeExpression(LinearCombination):
     """Finite linear combination of mode symbols plus central scalars."""
 
     __slots__ = ("terms", "central")
+    _parts = ("terms", "central")
 
     def __init__(self, terms=None, central=None):
-        clean = {}
-        if terms:
-            for sym, value in dict(terms).items():
-                value = Scalar.coerce(value)
-                if not value.is_zero():
-                    clean[sym] = value
-        cent = {}
-        if central:
-            for cid, value in dict(central).items():
-                value = Scalar.coerce(value)
-                if not value.is_zero():
-                    cent[cid] = value
-        self.terms = clean
-        self.central = cent
+        self.terms = self._nonzero(terms)
+        self.central = self._nonzero(central)
 
     @classmethod
     def zero(cls) -> "ModeExpression":
         return cls()
-
-    def is_zero(self) -> bool:
-        return not self.terms and not self.central
-
-    def add(self, other: "ModeExpression") -> "ModeExpression":
-        terms = dict(self.terms)
-        for sym, value in other.terms.items():
-            new = terms.get(sym, Scalar.zero()) + value
-            if new.is_zero():
-                terms.pop(sym, None)
-            else:
-                terms[sym] = new
-        central = dict(self.central)
-        for cid, value in other.central.items():
-            new = central.get(cid, Scalar.zero()) + value
-            if new.is_zero():
-                central.pop(cid, None)
-            else:
-                central[cid] = new
-        out = ModeExpression.__new__(ModeExpression)
-        out.terms = terms
-        out.central = central
-        return out
-
-    def scale(self, factor: ScalarLike) -> "ModeExpression":
-        factor = Scalar.coerce(factor)
-        out = ModeExpression.__new__(ModeExpression)
-        out.terms = {
-            s: v for s, v in ((s, v * factor) for s, v in self.terms.items())
-            if not v.is_zero()
-        }
-        out.central = {
-            c: v for c, v in ((c, v * factor) for c, v in self.central.items())
-            if not v.is_zero()
-        }
-        return out
-
-    def neg(self) -> "ModeExpression":
-        return self.scale(-1)
-
-    def sub(self, other: "ModeExpression") -> "ModeExpression":
-        return self.add(other.neg())
-
-    def __eq__(self, other):
-        if not isinstance(other, ModeExpression):
-            return NotImplemented
-        return self.terms == other.terms and self.central == other.central
 
     def __str__(self):
         parts = []
@@ -198,29 +153,24 @@ def _element_mode(
 ) -> ModeExpression:
     """Mode ``e_(p)`` (shifted index p) of an element, normalized and
     optionally converted to weight indexing."""
-    out = ModeExpression.zero()
-    for (g, k), coeff in e.terms.items():
-        out = out.add(normalize_derivative_mode(g, k, p, alg).scale(coeff))
-    for cid, coeff in e.central.items():
-        out = out.add(
-            ModeExpression(
-                central={cid: coeff * _kron_delta(p + Scalar.from_rational(1))}
-            )
-        )
+    delta = _kron_delta(p + Scalar.from_rational(1))
+    out = ModeExpression(
+        central={cid: coeff * delta for cid, coeff in e.central.items()}
+    ).combine(
+        (normalize_derivative_mode(g, k, p, alg), coeff)
+        for (g, k), coeff in e.terms.items()
+    )
     if indexing == WEIGHT:
-        converted = ModeExpression.zero()
+        converted = {}
         for sym, value in out.terms.items():
-            delta = alg.weight(sym.gen)
-            if delta is None:
+            weight = alg.weight(sym.gen)
+            if weight is None:
                 raise VacalcError(
                     f"weight indexing needs a declared weight for {sym.gen!r}"
                 )
-            widx = sym.index - Scalar.from_rational(delta) + Scalar.from_rational(1)
-            converted = converted.add(
-                ModeExpression(terms={ModeSymbol(sym.gen, widx, WEIGHT): value})
-            )
-        converted = converted.add(ModeExpression(central=out.central))
-        out = converted
+            widx = sym.index - Scalar.from_rational(weight) + Scalar.from_rational(1)
+            converted[ModeSymbol(sym.gen, widx, WEIGHT)] = value
+        out = out._build(converted, out.central)
     return out
 
 
@@ -251,7 +201,7 @@ def mode_commutator(
         ns = n + Scalar.from_rational(alg.weight(b) - 1)
     else:
         ms, ns = m, n
-    out = ModeExpression.zero()
+    terms = []
     for j, cj in j_products(alg.gen(a), alg.gen(b), alg):
         coeff = binom(ms, j)
         if isinstance(coeff, Scalar):
@@ -260,8 +210,8 @@ def mode_commutator(
         elif not coeff:
             continue
         p = ms + ns - Scalar.from_rational(j)
-        out = out.add(_element_mode(cj, p, alg, indexing).scale(coeff))
-    return out
+        terms.append((_element_mode(cj, p, alg, indexing), coeff))
+    return ModeExpression.zero().combine(terms)
 
 
 def commute(a: ModeSymbol, b: ModeSymbol, alg: AlgebraPresentation) -> ModeExpression:
@@ -275,11 +225,11 @@ def commute(a: ModeSymbol, b: ModeSymbol, alg: AlgebraPresentation) -> ModeExpre
 def _expr_commutator(x: ModeExpression, y: ModeExpression, comm) -> ModeExpression:
     """Bilinear extension of a mode commutator ``comm(a, b)`` on symbols;
     centrals commute."""
-    out = ModeExpression.zero()
-    for sa, va in x.terms.items():
-        for sb, vb in y.terms.items():
-            out = out.add(comm(sa, sb).scale(va * vb))
-    return out
+    return ModeExpression.zero().combine(
+        (comm(sa, sb), va * vb)
+        for sa, va in x.terms.items()
+        for sb, vb in y.terms.items()
+    )
 
 
 def _index_grid(alg: AlgebraPresentation, gen: str, bound: int, indexing: str):
@@ -341,10 +291,8 @@ def verify_mode_jacobi(
             sign_ab = alg.parity(a).sign_with(alg.parity(b))
             for x in grids[a]:
                 for y in grids[b]:
-                    lhs = comm(x, y)
-                    rhs = comm(y, x).scale(-sign_ab)
                     checked += 1
-                    diff = lhs.sub(rhs)
+                    diff = comm(x, y).combine(((comm(y, x), sign_ab),))
                     if not diff.is_zero():
                         failures.append(
                             ModeFailure("antisymmetry", _subject(x, y), diff)
@@ -358,11 +306,9 @@ def verify_mode_jacobi(
                         for z in grids[c]:
                             lhs = _expr_commutator(single[x], comm(y, z), comm)
                             first = _expr_commutator(comm(x, y), single[z], comm)
-                            second = _expr_commutator(
-                                single[y], comm(x, z), comm
-                            ).scale(sign_ab)
+                            second = _expr_commutator(single[y], comm(x, z), comm)
                             checked += 1
-                            diff = lhs.sub(first).sub(second)
+                            diff = lhs.combine(((first, -1), (second, -sign_ab)))
                             if not diff.is_zero():
                                 failures.append(
                                     ModeFailure("jacobi", _subject(x, y, z), diff)

@@ -3,7 +3,7 @@
 A :class:`BracketPoly` stores, for each exponent vector, a coefficient living
 in an additive module: a :class:`~vacalc.scalar.Scalar`, a one-variable
 Laurent polynomial, an element of a C[d]-module presentation, or a vertex
-element.  Coefficients must provide ``add``, ``scale`` and ``is_zero``;
+element.  Coefficients must support ``+``, ``*`` by a scalar and ``is_zero``;
 substitution of ``lambda -> -lambda - d`` additionally needs ``translate``.
 """
 
@@ -12,25 +12,25 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .scalar import ScalarLike, binom
+from .scalar import LinearCombination, binom, factorial, sparse_sum
 
 
-class BracketPoly:
+class BracketPoly(LinearCombination):
     __slots__ = ("variables", "coeffs")
+    _parts = ("coeffs",)
+    _context = "variables"
 
     def __init__(self, variables, coeffs=None):
         self.variables = tuple(variables)
-        clean = {}
-        if coeffs:
-            for exps, value in coeffs.items():
-                exps = tuple(exps)
-                if len(exps) != len(self.variables):
-                    raise ValueError("exponent arity does not match variables")
-                if any(e < 0 for e in exps):
-                    raise ValueError("negative bracket-variable exponent")
-                if not value.is_zero():
-                    clean[exps] = value
-        self.coeffs = clean
+        self.coeffs = self._nonzero(coeffs, key=self._exponents, coerce=None)
+
+    def _exponents(self, exps) -> tuple:
+        exps = tuple(exps)
+        if len(exps) != len(self.variables):
+            raise ValueError("exponent arity does not match variables")
+        if any(e < 0 for e in exps):
+            raise ValueError("negative bracket-variable exponent")
+        return exps
 
     # -- constructors --------------------------------------------------------
 
@@ -43,9 +43,6 @@ class BracketPoly:
         return cls(variables, {(0,) * len(variables): value})
 
     # -- queries -------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def coefficient(self, exps, zero):
         """Coefficient at the exponent vector, or ``zero`` when absent."""
@@ -61,53 +58,19 @@ class BracketPoly:
     def terms(self) -> Iterable:
         return sorted(self.coeffs.items())
 
-    # -- module operations -----------------------------------------------------
+    def j_products(self) -> list:
+        """The nonzero products ``x_(j) y = j! * (lambda^j coefficient)`` of a
+        bracket ``[x_lambda y]``, ascending in j."""
+        return [
+            (j, value.scale(factorial(j)))
+            for (j,), value in sorted(self.coeffs.items())
+        ]
 
-    def add(self, other: "BracketPoly") -> "BracketPoly":
-        if self.variables != other.variables:
-            raise ValueError("cannot add polynomials in different variables")
-        out = dict(self.coeffs)
-        for exps, value in other.coeffs.items():
-            if exps in out:
-                merged = out[exps].add(value)
-                if merged.is_zero():
-                    del out[exps]
-                else:
-                    out[exps] = merged
-            else:
-                out[exps] = value
-        result = BracketPoly.__new__(BracketPoly)
-        result.variables = self.variables
-        result.coeffs = out
-        return result
-
-    def neg(self) -> "BracketPoly":
-        return self.scale(-1)
-
-    def sub(self, other: "BracketPoly") -> "BracketPoly":
-        return self.add(other.neg())
-
-    def scale(self, factor: ScalarLike) -> "BracketPoly":
-        out = {}
-        for exps, value in self.coeffs.items():
-            scaled = value.scale(factor)
-            if not scaled.is_zero():
-                out[exps] = scaled
-        result = BracketPoly.__new__(BracketPoly)
-        result.variables = self.variables
-        result.coeffs = out
-        return result
+    # -- maps on coefficients and exponents -------------------------------------
 
     def map_coeffs(self, fn: Callable) -> "BracketPoly":
-        out = {}
-        for exps, value in self.coeffs.items():
-            mapped = fn(value)
-            if not mapped.is_zero():
-                out[exps] = mapped
-        result = BracketPoly.__new__(BracketPoly)
-        result.variables = self.variables
-        result.coeffs = out
-        return result
+        mapped = ((exps, fn(value)) for exps, value in self.coeffs.items())
+        return self._build({exps: value for exps, value in mapped if not value.is_zero()})
 
     def shift_power(self, var: str, k: int) -> "BracketPoly":
         """Multiply by ``var**k``."""
@@ -117,18 +80,7 @@ class BracketPoly:
             new = list(exps)
             new[idx] += k
             out[tuple(new)] = value
-        result = BracketPoly.__new__(BracketPoly)
-        result.variables = self.variables
-        result.coeffs = out
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, BracketPoly):
-            return NotImplemented
-        return self.variables == other.variables and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.coeffs.items())))
+        return self._build(out)
 
     def __repr__(self):
         body = ", ".join(f"{e}: {v}" for e, v in self.terms())
@@ -144,19 +96,16 @@ def substitute_skew(poly: BracketPoly) -> BracketPoly:
     """
     if len(poly.variables) != 1:
         raise ValueError("skew substitution needs a single bracket variable")
-    var = poly.variables[0]
-    out = BracketPoly.zero((var,))
+    terms = []
     for (k,), value in poly.coeffs.items():
         shifted = value
         # i = k, k-1, ..., 0; apply one more translate per step down.
         for i in range(k, -1, -1):
             if i < k:
                 shifted = shifted.translate()
-            coeff = binom(k, i) * (1 if k % 2 == 0 else -1)
-            term = shifted.scale(coeff)
-            if not term.is_zero():
-                out = out.add(BracketPoly((var,), {(i,): term}))
-    return out
+            if not shifted.is_zero():
+                terms.append(({(i,): shifted}, binom(k, i) * (1 if k % 2 == 0 else -1)))
+    return poly._build(sparse_sum(terms))
 
 
 def integrate_zero_to_lambda(poly: BracketPoly, var_out: str = "lambda") -> BracketPoly:
@@ -164,25 +113,26 @@ def integrate_zero_to_lambda(poly: BracketPoly, var_out: str = "lambda") -> Brac
     each monomial ``u**k`` maps to ``var_out**(k+1) / (k+1)``."""
     if len(poly.variables) != 1:
         raise ValueError("formal integration needs a single bracket variable")
-    out = BracketPoly.zero((var_out,))
-    for (k,), value in poly.coeffs.items():
-        out = out.add(
-            BracketPoly((var_out,), {(k + 1,): value.scale(Fraction(1, k + 1))})
-        )
-    return out
+    return BracketPoly(
+        (var_out,),
+        {(k + 1,): value.scale(Fraction(1, k + 1)) for (k,), value in poly.coeffs.items()},
+    )
 
 
 def substitute_sum(poly: BracketPoly, variables=("lambda", "mu")) -> BracketPoly:
     """Substitute ``nu -> lambda + mu``: a one-variable polynomial becomes a
-    two-variable polynomial via the binomial expansion of ``(lambda+mu)**k``."""
+    two-variable polynomial via the binomial expansion of ``(lambda+mu)**k``.
+    Each exponent pair ``(i, k - i)`` comes from a single ``k``."""
     if len(poly.variables) != 1:
         raise ValueError("sum substitution needs a single bracket variable")
-    out = BracketPoly.zero(variables)
-    for (k,), value in poly.coeffs.items():
-        for i in range(k + 1):
-            term = value.scale(binom(k, i))
-            out = out.add(BracketPoly(variables, {(i, k - i): term}))
-    return out
+    return BracketPoly(
+        variables,
+        {
+            (i, k - i): value.scale(binom(k, i))
+            for (k,), value in poly.coeffs.items()
+            for i in range(k + 1)
+        },
+    )
 
 
 def embed_bivariate(
@@ -190,10 +140,10 @@ def embed_bivariate(
 ) -> BracketPoly:
     """Embed a one-variable polynomial into two variables, placing its own
     variable at ``position`` (0 or 1) and a fixed power of the other variable."""
-    out = BracketPoly.zero(variables)
+    out = {}
     for (k,), value in poly.coeffs.items():
         exps = [0, 0]
         exps[position] = k
         exps[1 - position] = other_power
-        out = out.add(BracketPoly(variables, {tuple(exps): value}))
-    return out
+        out[tuple(exps)] = value
+    return BracketPoly(variables, out)

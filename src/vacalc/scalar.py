@@ -167,13 +167,6 @@ class Scalar:
             acc = acc * self
         return acc
 
-    # Module protocol used by polynomial containers.
-    def add(self, other: "Scalar") -> "Scalar":
-        return self + other
-
-    def scale(self, factor) -> "Scalar":
-        return self * factor
-
     def substitute(self, values: Mapping[str, "ScalarLike"]) -> "Scalar":
         """Replace parameters by scalars; unlisted parameters are kept."""
         out = Scalar.zero()
@@ -229,6 +222,185 @@ ScalarLike = Union[int, Fraction, Scalar]
 
 ZERO = Scalar.zero()
 ONE = Scalar.one()
+
+
+# ---------------------------------------------------------------------------
+# Sparse linear combinations: the module arithmetic over Scalar
+# ---------------------------------------------------------------------------
+
+_ZERO_FACTOR = Fraction(0)
+
+
+def _factor(c):
+    """A scale factor in its cheapest exact form: None for exactly 1,
+    ``_ZERO_FACTOR`` for zero, a Fraction for any other rational constant and
+    the Scalar itself otherwise."""
+    if type(c) is Scalar:
+        terms = c._terms
+        if len(terms) != 1 or () not in terms:
+            return c if terms else _ZERO_FACTOR
+        c = terms[()]
+    if c == 1:
+        return None
+    if not c:
+        return _ZERO_FACTOR
+    return _as_fraction(c)
+
+
+def _accumulate(acc: dict, part: Mapping, f) -> None:
+    """Add ``f * part`` into ``acc``, a dict private to the sum being built;
+    ``f`` comes from :func:`_factor` and is not zero."""
+    get = acc.get
+    for key, value in part.items():
+        if f is not None:
+            value = value * f
+        old = get(key)
+        if old is None:
+            acc[key] = value
+        else:
+            value = old + value
+            if value.is_zero():
+                del acc[key]
+            else:
+                acc[key] = value
+
+
+def sparse_sum(pairs) -> dict:
+    """``sum(c * part for part, c in pairs)`` over sparse maps from keys to
+    nonzero coefficients, in one pass, as a fresh dict without zero values."""
+    acc: dict = {}
+    for part, c in pairs:
+        f = _factor(c)
+        if f is not _ZERO_FACTOR:
+            _accumulate(acc, part, f)
+    return acc
+
+
+class LinearCombination:
+    """A finite linear combination with exact coefficients: the arithmetic
+    that every module over Scalar in vacalc shares.
+
+    A subclass lists in ``_parts`` the slots holding its coefficients, each a
+    dict from basis keys to nonzero coefficients, and may name in
+    ``_context`` one more slot (the presentation, the bracket variables) that
+    operands must share and results inherit.  Coefficients are Scalars or
+    values of another combination type: they need ``+``, ``*`` by a scale
+    factor and ``is_zero``.  Values are immutable; every operation builds
+    fresh dicts, so caches may hand the same object to every caller.
+    """
+
+    __slots__ = ("_hash",)
+    _parts: tuple = ()
+    _context: str | None = None
+
+    @staticmethod
+    def _nonzero(mapping, key=None, coerce=Scalar.coerce) -> dict:
+        """The entries of ``mapping`` (a dict or pairs) whose value, after
+        ``coerce``, is nonzero; ``key`` normalizes and validates each key."""
+        out = {}
+        if mapping:
+            for k, v in dict(mapping).items():
+                if key is not None:
+                    k = key(k)
+                if coerce is not None:
+                    v = coerce(v)
+                if not v.is_zero():
+                    out[k] = v
+        return out
+
+    def _build(self, *parts):
+        """A value of this type, in this value's context, holding ``parts``
+        (fresh dicts without zero values, in ``_parts`` order)."""
+        out = object.__new__(type(self))
+        context = self._context
+        if context is not None:
+            setattr(out, context, getattr(self, context))
+        for name, part in zip(self._parts, parts):
+            setattr(out, name, part)
+        return out
+
+    def _same_context(self, other) -> bool:
+        context = self._context
+        if context is None:
+            return True
+        mine, theirs = getattr(self, context), getattr(other, context)
+        return mine is theirs or mine == theirs
+
+    def is_zero(self) -> bool:
+        for name in self._parts:
+            if getattr(self, name):
+                return False
+        return True
+
+    def combine(self, pairs):
+        """``self + sum(c * x for x, c in pairs)``, built in one pass over
+        fresh dicts; no operand is changed."""
+        names = self._parts
+        accs = [dict(getattr(self, name)) for name in names]
+        for x, c in pairs:
+            if not self._same_context(x):
+                raise ValueError(f"cannot combine values with different {self._context}")
+            f = _factor(c)
+            if f is _ZERO_FACTOR:
+                continue
+            for acc, name in zip(accs, names):
+                part = getattr(x, name)
+                if part:
+                    _accumulate(acc, part, f)
+        return self._build(*accs)
+
+    def add(self, other):
+        return self.combine(((other, 1),))
+
+    def sub(self, other):
+        return self.combine(((other, -1),))
+
+    def neg(self):
+        return self.scale(-1)
+
+    def scale(self, factor):
+        """``factor * self``; scaling by exactly 1 returns ``self``."""
+        f = _factor(factor)
+        if f is None:
+            return self
+        if f is _ZERO_FACTOR:
+            return self._build(*({} for _ in self._parts))
+        # Coefficients lie in integral domains, so none of the products is zero.
+        return self._build(
+            *({k: v * f for k, v in getattr(self, name).items()} for name in self._parts)
+        )
+
+    # A combination may be the coefficient of another (BracketPoly over
+    # elements, the delta ladder over Laurent polynomials), so it answers the
+    # ``+`` and ``*`` that sums apply to coefficients.
+    __add__ = add
+    __mul__ = scale
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if not self._same_context(other):
+            return False
+        for name in self._parts:
+            if getattr(self, name) != getattr(other, name):
+                return False
+        return True
+
+    def __hash__(self):
+        # Values are immutable, so the hash is computed once, on first use.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(
+                tuple(frozenset(getattr(self, name).items()) for name in self._parts)
+            )
+            return self._hash
+
+    def __getstate__(self):
+        # The memoized hash depends on the interpreter's string-hash seed, so
+        # it stays out of pickles.
+        names = self._parts if self._context is None else (self._context,) + self._parts
+        return None, {name: getattr(self, name) for name in names}
 
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Mapping
 
 from .lie_conformal import (
@@ -33,7 +34,7 @@ from .lie_conformal import (
     lambda_bracket,
 )
 from .poly import BracketPoly, integrate_zero_to_lambda, substitute_skew
-from .scalar import Scalar, ScalarLike, binom, factorial
+from .scalar import ZERO, LinearCombination, Scalar, binom, factorial
 
 DEFAULT_MAX_LAMBDA_DEGREE = 64
 
@@ -87,128 +88,55 @@ def _render_atoms(atoms) -> str:
     return f":{_render_atom(atoms[0])} {_render_atoms(atoms[1:])}:"
 
 
-class VertexElement:
-    """State of the vertex algebra attached to a presentation."""
+class VertexElement(LinearCombination):
+    """State of the vertex algebra attached to a presentation: canonical
+    words, a vacuum multiple and central multiples.  The vacuum coefficient
+    is held as the coefficient of the empty word ``()``."""
 
-    __slots__ = ("alg", "words", "vacuum", "centrals", "_hash")
+    __slots__ = ("alg", "words", "_vacuum", "centrals")
+    _parts = ("words", "_vacuum", "centrals")
+    _context = "alg"
 
     def __init__(self, alg: AlgebraPresentation, words=None, vacuum=0, centrals=None):
         self.alg = alg
-        clean = {}
-        if words:
-            for word, value in dict(words).items():
-                value = Scalar.coerce(value)
-                if value.is_zero():
-                    continue
-                if not isinstance(word, NormalWord):
-                    word = NormalWord(word)
-                for g, _ in word.atoms:
-                    if not alg.is_generator(g):
-                        raise UndeclaredSymbolError(
-                            f"undeclared generator {g!r} in word {word}"
-                        )
-                clean[word] = value
-        self.words = clean
-        self.vacuum = Scalar.coerce(vacuum)
-        cents = {}
-        if centrals:
-            for cid, value in dict(centrals).items():
-                value = Scalar.coerce(value)
-                if not alg.is_central(cid):
-                    raise UndeclaredSymbolError(f"undeclared central {cid!r}")
-                if not value.is_zero():
-                    cents[cid] = value
-        self.centrals = cents
+        self.words = self._nonzero(words, key=self._word)
+        self._vacuum = self._nonzero({(): vacuum})
+        self.centrals = self._nonzero(centrals, key=self._central)
 
-    # -- basic queries -------------------------------------------------------
+    def _word(self, word) -> NormalWord:
+        if not isinstance(word, NormalWord):
+            word = NormalWord(word)
+        for g, _ in word.atoms:
+            if not self.alg.is_generator(g):
+                raise UndeclaredSymbolError(f"undeclared generator {g!r} in word {word}")
+        return word
 
-    def is_zero(self) -> bool:
-        return not self.words and self.vacuum.is_zero() and not self.centrals
+    def _central(self, cid: str) -> str:
+        if not self.alg.is_central(cid):
+            raise UndeclaredSymbolError(f"undeclared central {cid!r}")
+        return cid
+
+    @property
+    def vacuum(self) -> Scalar:
+        return self._vacuum.get((), ZERO)
 
     def _require_same(self, other: "VertexElement"):
         if self.alg is not other.alg:
             raise VacalcError("cannot combine states over different presentations")
 
-    # -- module operations ------------------------------------------------------
-
-    def add(self, other: "VertexElement") -> "VertexElement":
-        self._require_same(other)
-        words = dict(self.words)
-        for word, value in other.words.items():
-            new = words.get(word, Scalar.zero()) + value
-            if new.is_zero():
-                words.pop(word, None)
-            else:
-                words[word] = new
-        centrals = dict(self.centrals)
-        for cid, value in other.centrals.items():
-            new = centrals.get(cid, Scalar.zero()) + value
-            if new.is_zero():
-                centrals.pop(cid, None)
-            else:
-                centrals[cid] = new
-        out = VertexElement.__new__(VertexElement)
-        out.alg = self.alg
-        out.words = words
-        out.vacuum = self.vacuum + other.vacuum
-        out.centrals = centrals
-        return out
-
-    def neg(self) -> "VertexElement":
-        return self.scale(-1)
-
-    def sub(self, other: "VertexElement") -> "VertexElement":
-        return self.add(other.neg())
-
-    def scale(self, factor: ScalarLike) -> "VertexElement":
-        factor = Scalar.coerce(factor)
-        out = VertexElement.__new__(VertexElement)
-        out.alg = self.alg
-        out.words = {
-            w: v for w, v in ((w, v * factor) for w, v in self.words.items())
-            if not v.is_zero()
-        }
-        out.vacuum = self.vacuum * factor
-        out.centrals = {
-            c: v for c, v in ((c, v * factor) for c, v in self.centrals.items())
-            if not v.is_zero()
-        }
-        return out
-
     def translate(self) -> "VertexElement":
         """The translation operator T: Leibniz on words, zero on the vacuum
         and on centrals."""
         eng = engine(self.alg)
-        out = zero(self.alg)
-        for word, value in self.words.items():
-            out = out.add(eng.translate_word(word).scale(value))
-        return out
+        return eng.zero.combine(
+            (eng.translate_word(word), value) for word, value in self.words.items()
+        )
 
     def translate_power(self, k: int) -> "VertexElement":
         out = self
         for _ in range(k):
             out = out.translate()
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, VertexElement):
-            return NotImplemented
-        return (
-            self.alg is other.alg
-            and self.words == other.words
-            and self.vacuum == other.vacuum
-            and self.centrals == other.centrals
-        )
-
-    def __hash__(self):
-        # States are immutable, so the hash is computed once, on first use.
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(
-                (frozenset(self.words.items()), self.vacuum, frozenset(self.centrals.items()))
-            )
-            return self._hash
 
     def __str__(self):
         from .lie_conformal import _join, _scaled
@@ -282,6 +210,7 @@ class VertexEngine:
         self._insert_cache: dict = {}
         self._translate_cache: dict = {}
         self._depth = 0
+        self.zero = VertexElement(alg)
 
     # -- structural helpers ------------------------------------------------------
 
@@ -335,10 +264,11 @@ class VertexEngine:
         cached = self._translate_cache.get(word)
         if cached is not None:
             return cached
-        result = zero(self.alg)
-        for i, (g, d) in enumerate(word.atoms):
-            atoms = word.atoms[:i] + ((g, d + 1),) + word.atoms[i + 1:]
-            result = result.add(self.word_element(atoms))
+        atoms = word.atoms
+        result = self.zero.combine(
+            (self.word_element(atoms[:i] + ((g, d + 1),) + atoms[i + 1:]), 1)
+            for i, (g, d) in enumerate(atoms)
+        )
         self._translate_cache[word] = result
         return result
 
@@ -347,17 +277,15 @@ class VertexEngine:
 
     def insert_atom(self, atom, y: VertexElement) -> VertexElement:
         """Normal product of a single derivative atom with a canonical state."""
-        out = zero(self.alg)
-        if not y.vacuum.is_zero():
-            out = out.add(self.atom_element(atom).scale(y.vacuum))
         if y.centrals:
             raise VacalcError(
                 "normal product with an unpinned central is undefined; pin it "
                 "with 'acts' or keep it out of products"
             )
-        for word, value in y.words.items():
-            out = out.add(self._insert_atom_word(atom, word).scale(value))
-        return out
+        terms = [(self._insert_atom_word(atom, word), value) for word, value in y.words.items()]
+        if y._vacuum:
+            terms.append((self.atom_element(atom), y.vacuum))
+        return self.zero.combine(terms)
 
     def _insert_atom_word(self, atom, word: NormalWord) -> VertexElement:
         key = (atom, word)
@@ -375,25 +303,24 @@ class VertexEngine:
             elif ka == kb:
                 # Repeated odd atom: 2 a_(-1) a_(-1) = sum_j (-1)^j (a_(j)a)_(-2-j).
                 rest = self._tail_element(word)
-                result = zero(self.alg)
-                for j, prod in self._atom_jproducts(atom, head):
-                    result = result.add(
-                        self.nproduct(prod, -2 - j, rest).scale(
-                            Fraction(-1) ** j * Fraction(1, 2)
-                        )
-                    )
+                pair = self._word_bracket(NormalWord((atom,)), NormalWord((head,)))
+                result = self.zero.combine(
+                    (self.nproduct(prod, -2 - j, rest), Fraction((-1) ** j, 2))
+                    for j, prod in pair.j_products()
+                )
             else:
                 # Straighten: a b = p(a,b) b a + [a_(-1), b_(-1)].
                 rest = self._tail_element(word)
                 sign = self.atom_parity(atom).sign_with(self.atom_parity(head))
-                main = self.insert_atom(
-                    head, self._insert_or_atom(atom, word.atoms[1:])
-                ).scale(sign)
-                result = main
-                for j, prod in self._atom_jproducts(atom, head):
-                    result = result.add(
-                        self.nproduct(prod, -2 - j, rest).scale(Fraction(-1) ** j)
-                    )
+                main = self.insert_atom(head, self._insert_or_atom(atom, word.atoms[1:]))
+                pair = self._word_bracket(NormalWord((atom,)), NormalWord((head,)))
+                result = self.zero.combine(
+                    [(main, sign)]
+                    + [
+                        (self.nproduct(prod, -2 - j, rest), (-1) ** j)
+                        for j, prod in pair.j_products()
+                    ]
+                )
         finally:
             self._depth -= 1
         self._insert_cache[key] = result
@@ -409,24 +336,17 @@ class VertexEngine:
             return self.atom_element(atom)
         return self._insert_atom_word(atom, NormalWord(tail_atoms))
 
-    def _atom_jproducts(self, a, b):
-        """Nonzero products ``a_(j) b`` (j >= 0) of two derivative atoms."""
-        poly = self._word_bracket(NormalWord((a,)), NormalWord((b,)))
-        return [
-            (j, value.scale(factorial(j)))
-            for (j,), value in sorted(poly.coeffs.items())
-        ]
-
     # -- the lambda-bracket ----------------------------------------------------------
 
     def bracket(self, x: VertexElement, y: VertexElement) -> BracketPoly:
         x._require_same(y)
         self.element_parity(x)
         self.element_parity(y)
-        out = BracketPoly.zero(("lambda",))
-        for wx, sx in sorted(x.words.items(), key=lambda kv: kv[0].atoms):
-            for wy, sy in sorted(y.words.items(), key=lambda kv: kv[0].atoms):
-                out = out.add(self._word_bracket(wx, wy).scale(sx * sy))
+        out = BracketPoly.zero(("lambda",)).combine(
+            (self._word_bracket(wx, wy), sx * sy)
+            for wx, sx in sorted(x.words.items(), key=lambda kv: kv[0].atoms)
+            for wy, sy in sorted(y.words.items(), key=lambda kv: kv[0].atoms)
+        )
         if (
             self.max_lambda_degree is not None
             and out.degree("lambda") > self.max_lambda_degree
@@ -474,49 +394,42 @@ class VertexEngine:
         t_rest = self.bracket(
             VertexElement(self.alg, words={W: 1}), rest_elem
         )
-        out = BracketPoly.zero(("lambda",))
+        terms = []
         for (i,), value in t_head.coeffs.items():
             prod = self.normal_product(value, rest_elem)
-            out = out.add(BracketPoly.constant(prod).shift_power("lambda", i))
+            terms.append((BracketPoly.constant(prod).shift_power("lambda", i), 1))
         sign = self.word_parity(W).sign_with(self.atom_parity(head))
         for (i,), value in t_rest.coeffs.items():
             prod = self.normal_product(head_elem, value)
-            out = out.add(
-                BracketPoly.constant(prod).shift_power("lambda", i).scale(sign)
-            )
+            terms.append((BracketPoly.constant(prod).shift_power("lambda", i), sign))
         for (i,), value in t_head.coeffs.items():
             integrand = self.bracket(value, rest_elem)  # polynomial in mu
             integral = integrate_zero_to_lambda(integrand)
-            out = out.add(integral.shift_power("lambda", i))
-        return out
+            terms.append((integral.shift_power("lambda", i), 1))
+        return BracketPoly.zero(("lambda",)).combine(terms)
 
     # -- products ------------------------------------------------------------------
 
     def normal_product(self, x: VertexElement, y: VertexElement) -> VertexElement:
         x._require_same(y)
-        out = zero(self.alg)
-        if not x.vacuum.is_zero():
-            out = out.add(y.scale(x.vacuum))
-        for cid, value in x.centrals.items():
+        for cid in x.centrals:
             if y.words or y.centrals:
                 raise VacalcError(
                     f"normal product with unpinned central {cid!r} is undefined"
                 )
-            if not y.vacuum.is_zero():
-                out = out.add(
-                    VertexElement(self.alg, centrals={cid: value * y.vacuum})
-                )
-        for word, value in sorted(x.words.items(), key=lambda kv: kv[0].atoms):
-            if not y.vacuum.is_zero():
-                out = out.add(
-                    VertexElement(self.alg, words={word: value * y.vacuum})
-                )
-            secondary = VertexElement(
-                self.alg, words=y.words, centrals=y.centrals
-            )
-            if not secondary.is_zero():
-                out = out.add(self._word_product(word, secondary).scale(value))
-        return out
+        # vac y = y, and x_word vac = x_word, x_central vac = x_central.
+        terms = []
+        if x._vacuum:
+            terms.append((y, x.vacuum))
+        if y._vacuum:
+            terms.append((x._build(x.words, {}, x.centrals), y.vacuum))
+        if y.words or y.centrals:
+            secondary = y._build(y.words, {}, y.centrals)
+            terms += [
+                (self._word_product(word, secondary), value)
+                for word, value in sorted(x.words.items(), key=lambda kv: kv[0].atoms)
+            ]
+        return self.zero.combine(terms)
 
     def _word_product(self, W: NormalWord, y: VertexElement) -> VertexElement:
         """``: W y :`` for a canonical word against a vacuum-free state."""
@@ -525,36 +438,32 @@ class VertexEngine:
                 "normal product with an unpinned central is undefined"
             )
         if len(W) == 1:
-            out = zero(self.alg)
-            for word, value in y.words.items():
-                out = out.add(self._insert_atom_word(W.atoms[0], word).scale(value))
-            return out
+            return self.zero.combine(
+                (self._insert_atom_word(W.atoms[0], word), value)
+                for word, value in y.words.items()
+            )
         # Quasi-associativity: (a_(-1) b)_(-1) c = a_(-1)(b_(-1) c)
         #   + sum_j a_(-j-2)(b_(j) c) + p(a,b) sum_j b_(-j-2)(a_(j) c).
         a_atom = W.atoms[0]
         b_word = NormalWord(W.atoms[1:])
         a_elem = self.atom_element(a_atom)
         b_elem = VertexElement(self.alg, words={b_word: 1})
-        out = self.insert_atom(a_atom, self._word_product(b_word, y))
-        for j, prod in self._jproducts(b_elem, y):
-            out = out.add(self.nproduct(a_elem, -2 - j, prod))
-        sign = self.atom_parity(a_atom).sign_with(self.word_parity(b_word))
-        for j, prod in self._jproducts(a_elem, y):
-            out = out.add(self.nproduct(b_elem, -2 - j, prod).scale(sign))
-        return out
-
-    def _jproducts(self, x: VertexElement, y: VertexElement):
-        poly = self.bracket(x, y)
-        return [
-            (j, value.scale(factorial(j)))
-            for (j,), value in sorted(poly.coeffs.items())
+        terms = [(self.insert_atom(a_atom, self._word_product(b_word, y)), 1)]
+        terms += [
+            (self.nproduct(a_elem, -2 - j, prod), 1)
+            for j, prod in self.bracket(b_elem, y).j_products()
         ]
+        sign = self.atom_parity(a_atom).sign_with(self.word_parity(b_word))
+        terms += [
+            (self.nproduct(b_elem, -2 - j, prod), sign)
+            for j, prod in self.bracket(a_elem, y).j_products()
+        ]
+        return self.zero.combine(terms)
 
     def nproduct(self, x: VertexElement, n: int, y: VertexElement) -> VertexElement:
         if n >= 0:
             poly = self.bracket(x, y)
-            coeff = poly.coefficient((n,), zero(self.alg))
-            return coeff.scale(factorial(n))
+            return poly.coefficient((n,), self.zero).scale(factorial(n))
         j = -1 - n
         left = x.translate_power(j).scale(Fraction(1, factorial(j)))
         return self.normal_product(left, y)
@@ -596,7 +505,8 @@ def normal_product(x: VertexElement, y: VertexElement, alg=None) -> VertexElemen
 
 
 def vertex_jproducts(x: VertexElement, y: VertexElement, alg=None):
-    return engine(alg or x.alg)._jproducts(x, y)
+    """Nonzero products ``x_(j) y`` (j >= 0), ascending in j."""
+    return engine(alg or x.alg).bracket(x, y).j_products()
 
 
 def quasi_comm_defect(x: VertexElement, y: VertexElement, alg=None) -> VertexElement:
@@ -604,15 +514,10 @@ def quasi_comm_defect(x: VertexElement, y: VertexElement, alg=None) -> VertexEle
     ``:xy: - p(x,y) :yx:``.  Each bracket coefficient c_j of lambda^j
     contributes ``(-1)^j T^(j+1) c_j / (j+1)``."""
     eng = engine(alg or x.alg)
-    poly = eng.bracket(x, y)
-    out = zero(eng.alg)
-    for (j,), value in poly.coeffs.items():
-        out = out.add(
-            value.translate_power(j + 1).scale(
-                Fraction(-1) ** j * Fraction(1, j + 1)
-            )
-        )
-    return out
+    return eng.zero.combine(
+        (value.translate_power(j + 1), Fraction((-1) ** j, j + 1))
+        for (j,), value in eng.bracket(x, y).coeffs.items()
+    )
 
 
 def quasi_assoc_rewrite(x: VertexElement, y: VertexElement, alg=None) -> VertexElement:
@@ -624,13 +529,10 @@ def quasi_assoc_defect_sum(a, b, c, alg=None) -> VertexElement:
     """Associativity defect ``(a_(-1)b)_(-1)c - a_(-1)(b_(-1)c)`` as the sum
     ``sum_j a_(-j-2)(b_(j)c) + p(a,b) sum_j b_(-j-2)(a_(j)c)``."""
     eng = engine(alg or a.alg)
-    out = zero(eng.alg)
-    for j, prod in eng._jproducts(b, c):
-        out = out.add(eng.nproduct(a, -2 - j, prod))
+    terms = [(eng.nproduct(a, -2 - j, prod), 1) for j, prod in eng.bracket(b, c).j_products()]
     sign = eng.element_parity(a).sign_with(eng.element_parity(b))
-    for j, prod in eng._jproducts(a, c):
-        out = out.add(eng.nproduct(b, -2 - j, prod).scale(sign))
-    return out
+    terms += [(eng.nproduct(b, -2 - j, prod), sign) for j, prod in eng.bracket(a, c).j_products()]
+    return eng.zero.combine(terms)
 
 
 def quasi_assoc_defect_integral(a, b, c, alg=None) -> VertexElement:
@@ -638,21 +540,17 @@ def quasi_assoc_defect_integral(a, b, c, alg=None) -> VertexElement:
     powers of lambda, integrate ``int_0^T``, and place the resulting
     T-powers on the left factor of the (-1)-product."""
     eng = engine(alg or a.alg)
-    out = zero(eng.alg)
 
-    def contribution(left, right):
-        acc = zero(eng.alg)
-        poly = eng.bracket(right, c)
-        for (j,), coeff in poly.coeffs.items():
-            # int_0^T lambda^j dl = T^(j+1)/(j+1), applied to the left factor.
-            shifted = left.translate_power(j + 1).scale(Fraction(1, j + 1))
-            acc = acc.add(eng.normal_product(shifted, coeff))
-        return acc
+    def contribution(left, right, sign):
+        # int_0^T lambda^j dl = T^(j+1)/(j+1), applied to the left factor.
+        return [
+            (eng.normal_product(left.translate_power(j + 1), coeff), Fraction(sign, j + 1))
+            for (j,), coeff in eng.bracket(right, c).coeffs.items()
+        ]
 
-    out = out.add(contribution(a, b))
+    terms = contribution(a, b, 1)
     sign = eng.element_parity(a).sign_with(eng.element_parity(b))
-    out = out.add(contribution(b, a).scale(sign))
-    return out
+    return eng.zero.combine(terms + contribution(b, a, sign))
 
 
 @dataclass
@@ -686,16 +584,11 @@ def borcherds_nproducts_check(
     lhs = eng.nproduct(a, n, b)
     degree = eng.bracket(b, a).degree("lambda")
     jmax = max(0, degree - n, -n - 1)
-    total = zero(eng.alg)
-    for j in range(jmax + 1):
-        term = eng.nproduct(b, n + j, a)
-        total = total.add(
-            term.translate_power(j).scale(
-                Fraction(-1) ** j * Fraction(1, factorial(j))
-            )
-        )
     sign = -eng.element_parity(a).sign_with(eng.element_parity(b)) * Fraction(-1) ** n
-    rhs = total.scale(sign)
+    rhs = eng.zero.combine(
+        (eng.nproduct(b, n + j, a).translate_power(j), Fraction(sign * (-1) ** j, factorial(j)))
+        for j in range(jmax + 1)
+    )
     return IdentityReport("borcherds-n-products", (f"n={n}",), lhs, rhs)
 
 
@@ -740,12 +633,15 @@ def borcherds_identity_check(
     At q = 0 this is the graded mode-commutator formula.
     """
     table = _ProductTable(engine(alg or a.alg))
-    return _borcherds_identity(table, a, b, c, m, n, q)
+    return _borcherds_identity(table, (a, b, c), m, n, q, (str(a), str(b), str(c)))
 
 
-def _borcherds_identity(table: _ProductTable, a, b, c, m, n, q) -> IdentityReport:
+def _borcherds_identity(table: _ProductTable, triple, m, n, q, names) -> IdentityReport:
+    """The master identity on the states ``triple``, reported under the
+    subject ``names`` followed by m, n and q."""
+    a, b, c = triple
     eng = table.eng
-    lhs = zero(eng.alg)
+    terms = []
     for i in range(max(0, table.degree(a, b) - q) + 1):
         coeff = binom(m, i)
         if not coeff:
@@ -753,21 +649,24 @@ def _borcherds_identity(table: _ProductTable, a, b, c, m, n, q) -> IdentityRepor
         inner = table.nproduct(a, q + i, b)
         if inner.is_zero():
             continue
-        lhs = lhs.add(table.nproduct(inner, m + n - i, c).scale(coeff))
+        terms.append((table.nproduct(inner, m + n - i, c), coeff))
+    lhs = eng.zero.combine(terms)
     if q >= 0:
         imax = q
     else:
         imax = max(0, table.degree(b, c) - n, table.degree(a, c) - m)
     sign_q = Fraction(-1) ** q * eng.element_parity(a).sign_with(eng.element_parity(b))
-    rhs = zero(eng.alg)
+    terms = []
     for i in range(imax + 1):
-        coeff = binom(q, i) * Fraction(-1) ** i
+        coeff = binom(q, i) * (-1) ** i
         if not coeff:
             continue
         first = table.nproduct(a, m + q - i, table.nproduct(b, n + i, c))
         second = table.nproduct(b, n + q - i, table.nproduct(a, m + i, c))
-        rhs = rhs.add(first.sub(second.scale(sign_q)).scale(coeff))
-    return IdentityReport("borcherds-identity", (f"m={m}", f"n={n}", f"q={q}"), lhs, rhs)
+        terms += [(first, coeff), (second, -sign_q * coeff)]
+    rhs = eng.zero.combine(terms)
+    subject = (*names, f"m={m}", f"n={n}", f"q={q}")
+    return IdentityReport("borcherds-identity", subject, lhs, rhs)
 
 
 def borcherds_sweep(alg: AlgebraPresentation, index_range: int) -> CheckReport:
@@ -777,21 +676,20 @@ def borcherds_sweep(alg: AlgebraPresentation, index_range: int) -> CheckReport:
     if index_range < 1:
         raise ValueError("index range must be at least 1")
     eng = engine(alg)
-    states = [state(alg, g.name) for g in alg.generators]
+    states = {g.name: state(alg, g.name) for g in alg.generators}
     span = range(-index_range, index_range + 1)
     failures = []
     checked = 0
-    for a in states:
-        for b in states:
-            for c in states:
-                table = _ProductTable(eng)
-                for m in span:
-                    for n in span:
-                        for q in span:
-                            report = _borcherds_identity(table, a, b, c, m, n, q)
-                            checked += 1
-                            if not report.passed:
-                                failures.append(report)
+    for names in product(states, repeat=3):
+        triple = tuple(states[name] for name in names)
+        table = _ProductTable(eng)
+        for m in span:
+            for n in span:
+                for q in span:
+                    report = _borcherds_identity(table, triple, m, n, q, names)
+                    checked += 1
+                    if not report.passed:
+                        failures.append(report)
     return CheckReport("borcherds", alg.name, checked, failures)
 
 
@@ -913,12 +811,11 @@ def fermion_conformal_vector(alg: AlgebraPresentation) -> VertexElement:
     ]
     inverse = _invert_rational_matrix(rows)
     eng = engine(alg)
-    out = zero(alg)
+    terms = []
     for i, name in enumerate(names):
         # dual_i = sum_k inverse[k][i] basis_k satisfies <basis_j, dual_i> = delta_ij.
-        dual = zero(alg)
-        for k, other in enumerate(names):
-            if inverse[k][i]:
-                dual = dual.add(state(alg, other, 1).scale(inverse[k][i]))
-        out = out.add(eng.normal_product(dual, state(alg, name)))
-    return out.scale(Fraction(1, 2))
+        dual = eng.zero.combine(
+            (state(alg, other, 1), inverse[k][i]) for k, other in enumerate(names)
+        )
+        terms.append((eng.normal_product(dual, state(alg, name)), Fraction(1, 2)))
+    return eng.zero.combine(terms)

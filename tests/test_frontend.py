@@ -25,6 +25,7 @@ from vacalc.lie_conformal import (
     virasoro,
 )
 from vacalc.mode_algebra import verify_mode_jacobi
+from vacalc.scalar import Scalar, factorial
 from vacalc import vertex_calc as vx
 
 VIRASORO_FILE = """
@@ -273,6 +274,88 @@ def test_cli_missing_algebra(capsys):
     assert "required" in captured.err
 
 
+def _split_top(text, sep=" + "):
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0 and text.startswith(sep, i):
+            parts.append(text[start:i])
+            start = i + len(sep)
+    return parts + [text[start:]]
+
+
+def _ope_products(text, alg):
+    """{j: a_(j) b} read back from a rendered OPE ``a(z)b(w) ~ ...``."""
+    out = {}
+    for piece in _split_top(text.partition(" ~ ")[2]):
+        body, _, pole = piece.rpartition("/(z-w)")
+        j = int(pole[1:]) - 1 if pole else 0
+        value = parse_vertex_expr(body.removesuffix("(w)"), alg)
+        out[j] = out.get(j, vx.zero(alg)).add(value)
+    return out
+
+
+def _scalar_from_json(items):
+    return Scalar(
+        {tuple(sorted(i["monomial"].items())): Fraction(i["coeff"]) for i in items}
+    )
+
+
+def _state_from_json(alg, value):
+    return vx.VertexElement(
+        alg,
+        words={
+            vx.NormalWord(tuple(a) for a in w["atoms"]): _scalar_from_json(w["coeff"])
+            for w in value["words"]
+        },
+        vacuum=_scalar_from_json(value["vacuum"]),
+        centrals={c: _scalar_from_json(v) for c, v in value["centrals"].items()},
+    )
+
+
+@pytest.mark.parametrize(
+    "algebra, a, b",
+    [
+        ("virasoro", ":L L:", "L"),
+        ("virasoro", ":L L:", ":d(L) L:"),
+        ("neveu_schwarz", "G", ":G L:"),
+        ("free_fermion", "psi1", ":psi1 psi2:"),
+        ("current_sl2", ":e f:", "h"),
+    ],
+)
+def test_ope_of_composite_operands_matches_json_bracket(capsys, algebra, a, b):
+    alg = builtin(algebra)
+    assert main(["--builtin", algebra, "ope", a, b]) == 0
+    ope = capsys.readouterr().out.strip()
+    assert main(["--builtin", algebra, "--format", "ope", "bracket", a, b]) == 0
+    assert capsys.readouterr().out.strip() == ope
+    assert main(["--builtin", algebra, "--format", "json", "bracket", a, b]) == 0
+    terms = json.loads(capsys.readouterr().out)["result"]["terms"]
+    expected = {
+        t["exponents"][0]: _state_from_json(alg, t["value"]).scale(factorial(t["exponents"][0]))
+        for t in terms
+    }
+    assert ope.startswith(f"{a}(z){b}(w) ~ ")
+    assert _ope_products(ope, alg) == expected
+
+
+@pytest.mark.parametrize(
+    "query", [["nproduct", "L", "-1", "L"], ["modes", "L_1", "L_-1"], ["weight", "L"], ["primary", "L"]]
+)
+def test_format_ope_rejected_outside_brackets(capsys, query):
+    assert main(["--builtin", "virasoro", "--format", "ope", *query]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"vacalc: --format ope applies to bracket and ope queries, not to {query[0]}\n"
+    )
+
+
+def test_format_ope_on_checks_prints_the_report(capsys):
+    assert main(["--builtin", "virasoro", "--format", "ope", "check", "skew"]) == 0
+    assert capsys.readouterr().out == "check skew on virasoro: ok (1 identity)\n"
+
+
 def test_cli_borcherds_sweep(capsys):
     code = main(["--builtin", "free_fermion", "--range", "1", "check", "borcherds"])
     captured = capsys.readouterr()
@@ -327,7 +410,7 @@ def test_sweeps_report_every_failure_of_a_corrupt_table():
     report = vx.borcherds_sweep(alg, 1)
     assert (report.checked, len(report.failures)) == (729, 62)
     expected = [
-        (f"m={m}", f"n={n}", f"q={q}")
+        (*triple, f"m={m}", f"n={n}", f"q={q}")
         for triple in sorted(CORRUPT_SL2_BORCHERDS)
         for m, n, q in CORRUPT_SL2_BORCHERDS[triple]
     ]

@@ -9,10 +9,12 @@ Definition files look like::
       bracket [L, L] = d(L) + 2*lambda*L + 1/12*lambda^3*C;
     }
 
-``d(...)`` is the derivation (``T`` is an alias in vertex expressions),
-``lambda`` is reserved, ``vac`` denotes the vacuum, and ``:a b:`` is a
-right-nested normally ordered word.  Identifiers are alphanumeric and start
-with a letter; ``#`` starts a comment.
+One expression grammar serves query operands, bracket statements and
+``acts`` clauses.  ``d(...)`` is the derivation (``T`` is an alias),
+``lambda`` is the bracket variable of definitions, ``vac`` denotes the
+vacuum, and ``:a b:`` is a right-nested normally ordered word; the last two
+occur in queries only.  Identifiers are alphanumeric and start with a
+letter; ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from fractions import Fraction
 from ..lie_conformal import (
     AlgebraPresentation,
     CentralDecl,
-    ConformalElement,
     GeneratorDecl,
     Parity,
     PresentationError,
@@ -33,12 +34,6 @@ from ..lie_conformal import (
 from ..poly import BracketPoly, substitute_skew
 from ..scalar import Scalar
 from .. import vertex_calc as vx
-
-KEYWORDS = {
-    "algebra", "param", "generator", "central", "bracket",
-    "even", "odd", "weight", "acts", "lambda", "vac", "d", "T",
-}
-
 
 class ParseError(VacalcError):
     def __init__(self, message, line=None, col=None, expected=None):
@@ -141,244 +136,89 @@ class TokenStream:
 
 
 # ---------------------------------------------------------------------------
-# Scalar/conformal expression values
+# Expressions
 # ---------------------------------------------------------------------------
 
 
-class _Value:
-    """Either a lambda-polynomial of scalars or of elements."""
-
-    __slots__ = ("kind", "data")
-
-    def __init__(self, kind, data):
-        self.kind = kind  # "scalar" | "element"
-        self.data = data  # BracketPoly over Scalar / over ConformalElement
-
-
-def _spoly(scalar: Scalar) -> _Value:
-    return _Value("scalar", BracketPoly(("lambda",), {(0,): scalar}))
-
-
-def _value_add(a: _Value, b: _Value, tok) -> _Value:
-    if a.kind != b.kind:
-        raise ParseError("cannot add a scalar to an element", tok.line, tok.col)
-    return _Value(a.kind, a.data.add(b.data))
-
-
-def _value_neg(a: _Value) -> _Value:
-    return _Value(a.kind, a.data.scale(-1))
-
-
-def _times_scalar_poly(p: BracketPoly, s: BracketPoly) -> BracketPoly:
+def _times(p: BracketPoly, s: BracketPoly) -> BracketPoly:
     """``p * s`` for a lambda-polynomial ``s`` with scalar coefficients."""
     return BracketPoly.zero(("lambda",)).combine(
         (p.shift_power("lambda", i), u) for (i,), u in s.coeffs.items()
     )
 
 
-def _value_mul(a: _Value, b: _Value, tok) -> _Value:
-    if b.kind == "scalar":
-        return _Value(a.kind, _times_scalar_poly(a.data, b.data))
-    if a.kind == "scalar":
-        return _Value("element", _times_scalar_poly(b.data, a.data))
-    raise ParseError(
-        "products of generators are not defined here; use a normal word",
-        tok.line,
-        tok.col,
-    )
+class _ExprParser:
+    """The one expression grammar of vacalc: ``+ - * / ^`` and parentheses
+    over integers, parameters, generators, centrals, ``lambda``, ``vac``,
+    ``d^k(...)`` (alias ``T``) and normal words ``:x y ...:``.
 
+    A value is a pair ``(is_element, poly)``: a polynomial in ``lambda`` whose
+    coefficients are scalars or elements.  In a query, elements are states of
+    the vertex algebra (pinned centrals become vacuum multiples) and
+    ``lambda`` is reserved.  In a definition (bracket statements, ``acts``
+    clauses), elements are conformal elements with symbolic centrals, and
+    ``vac`` and normal words are rejected."""
 
-def _value_div(a: _Value, b: _Value, tok) -> _Value:
-    if b.kind != "scalar":
-        raise ParseError("division by an element", tok.line, tok.col)
-    const = b.data.coefficient((0,), Scalar.zero())
-    if b.data.degree("lambda") > 0 or not const.is_constant() or const.is_zero():
-        raise ParseError(
-            "division is only defined by nonzero rational constants",
-            tok.line,
-            tok.col,
-        )
-    return _Value(a.kind, a.data.scale(Fraction(1) / const.as_rational()))
-
-
-def _value_pow(a: _Value, n: int, tok) -> _Value:
-    if a.kind != "scalar":
-        raise ParseError("powers of elements are not defined", tok.line, tok.col)
-    out = _spoly(Scalar.one())
-    for _ in range(n):
-        out = _value_mul(out, a, tok)
-    return out
-
-
-class _ConformalExprParser:
-    """lambda-polynomial expressions with generator-linear coefficients."""
-
-    def __init__(self, ts: TokenStream, alg: AlgebraPresentation):
+    def __init__(self, ts: TokenStream, alg: AlgebraPresentation, query: bool):
         self.ts = ts
         self.alg = alg
-
-    def expr(self) -> _Value:
-        tok = self.ts.peek()
-        negate = bool(self.ts.accept("SYM", "-"))
-        value = self.term()
-        if negate:
-            value = _value_neg(value)
-        while True:
-            if self.ts.accept("SYM", "+"):
-                value = _value_add(value, self.term(), tok)
-            elif self.ts.accept("SYM", "-"):
-                value = _value_add(value, _value_neg(self.term()), tok)
-            else:
-                return value
-
-    def term(self) -> _Value:
-        tok = self.ts.peek()
-        value = self.factor()
-        while True:
-            if self.ts.accept("SYM", "*"):
-                value = _value_mul(value, self.factor(), tok)
-            elif self.ts.accept("SYM", "/"):
-                value = _value_div(value, self.factor(), tok)
-            else:
-                return value
-
-    def factor(self) -> _Value:
-        value = self.atom()
-        if self.ts.accept("SYM", "^"):
-            tok = self.ts.expect("INT")
-            value = _value_pow(value, int(tok.text), tok)
-        return value
-
-    def atom(self) -> _Value:
-        tok = self.ts.peek()
-        if tok.kind == "INT":
-            self.ts.next()
-            return _spoly(Scalar.from_rational(int(tok.text)))
-        if self.ts.accept("SYM", "("):
-            value = self.expr()
-            self.ts.expect("SYM", ")")
-            return value
-        if tok.kind == "NAME":
-            self.ts.next()
-            name = tok.text
-            if name == "lambda":
-                return _Value(
-                    "scalar", BracketPoly(("lambda",), {(1,): Scalar.one()})
-                )
-            if name in ("d", "T"):
-                power = 1
-                if self.ts.accept("SYM", "^"):
-                    power = int(self.ts.expect("INT").text)
-                self.ts.expect("SYM", "(")
-                inner = self.expr()
-                self.ts.expect("SYM", ")")
-                if inner.kind != "element":
-                    raise ParseError(
-                        "d(...) applies to elements", tok.line, tok.col
-                    )
-                data = inner.data
-                for _ in range(power):
-                    data = data.map_coeffs(lambda e: e.translate())
-                return _Value("element", data)
-            if name in self.alg.parameters:
-                return _spoly(Scalar.param(name))
-            if self.alg.is_generator(name) or self.alg.is_central(name):
-                return _Value(
-                    "element", BracketPoly(("lambda",), {(0,): self.alg.gen(name)})
-                )
-            raise ParseError(
-                f"undeclared symbol {name!r}", tok.line, tok.col
-            )
-        raise ParseError(
-            f"unexpected {tok.kind} {tok.text!r}",
-            tok.line,
-            tok.col,
-            ["number", "name", "(", "d(", "lambda"],
-        )
-
-
-def parse_conformal_expr(text: str, alg: AlgebraPresentation) -> BracketPoly:
-    """Parse a lambda-polynomial with element coefficients (bracket RHS)."""
-    ts = TokenStream(text)
-    value = _ConformalExprParser(ts, alg).expr()
-    tok = ts.peek()
-    if not ts.at_end():
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    if value.kind != "element":
-        raise ParseError("expression has no generator part", 1, 1)
-    return value.data
-
-
-def parse_element(text: str, alg: AlgebraPresentation) -> ConformalElement:
-    """Parse a lambda-free element of the C[d]-module."""
-    poly = parse_conformal_expr(text, alg)
-    if poly.degree("lambda") > 0:
-        raise ParseError("lambda is not allowed in this expression", 1, 1)
-    return poly.coefficient((0,), ConformalElement.zero())
-
-
-# ---------------------------------------------------------------------------
-# Vertex expressions (queries)
-# ---------------------------------------------------------------------------
-
-
-class _VertexExprParser:
-    def __init__(self, ts: TokenStream, alg: AlgebraPresentation):
-        self.ts = ts
-        self.alg = alg
+        self.query = query
+        self.noun = "state" if query else "element"
 
     def expr(self):
         tok = self.ts.peek()
         negate = bool(self.ts.accept("SYM", "-"))
         value = self.term()
         if negate:
-            value = self._neg(value)
+            value = (value[0], value[1].scale(-1))
         while True:
             if self.ts.accept("SYM", "+"):
-                value = self._add(value, self.term(), tok)
+                value = self._add(value, self.term(), 1, tok)
             elif self.ts.accept("SYM", "-"):
-                value = self._add(value, self._neg(self.term()), tok)
+                value = self._add(value, self.term(), -1, tok)
             else:
                 return value
 
-    def _neg(self, v):
-        kind, data = v
-        return (kind, data * -1)
-
-    def _add(self, a, b, tok):
+    def _add(self, a, b, sign, tok):
         if a[0] != b[0]:
-            raise ParseError("cannot add a scalar to a state", tok.line, tok.col)
-        if a[0] == "scalar":
-            return ("scalar", a[1] + b[1])
-        return ("vertex", a[1].add(b[1]))
-
-    def _mul(self, a, b, tok):
-        if a[0] == "scalar" and b[0] == "scalar":
-            return ("scalar", a[1] * b[1])
-        if a[0] == "scalar":
-            return ("vertex", b[1].scale(a[1]))
-        if b[0] == "scalar":
-            return ("vertex", a[1].scale(b[1]))
-        raise ParseError(
-            "use a normal word :x y: for products of states", tok.line, tok.col
-        )
+            article = "a" if self.query else "an"
+            raise ParseError(
+                f"cannot add a scalar to {article} {self.noun}", tok.line, tok.col
+            )
+        return a[0], a[1].combine(((b[1], sign),))
 
     def term(self):
         tok = self.ts.peek()
         value = self.factor()
         while True:
             if self.ts.accept("SYM", "*"):
-                value = self._mul(value, self.factor(), tok)
+                other = self.factor()
+                if value[0] and other[0]:
+                    raise ParseError(
+                        "use a normal word :x y: for products of states"
+                        if self.query
+                        else "products of elements are not defined in a definition",
+                        tok.line,
+                        tok.col,
+                    )
+                if other[0]:
+                    value, other = other, value
+                value = (value[0], _times(value[1], other[1]))
             elif self.ts.accept("SYM", "/"):
-                divisor = self.factor()
-                if divisor[0] != "scalar" or not divisor[1].is_constant() or divisor[1].is_zero():
+                is_element, divisor = self.factor()
+                const = divisor.coefficient((0,), Scalar.zero())
+                if (
+                    is_element
+                    or divisor.degree("lambda") > 0
+                    or not const.is_constant()
+                    or const.is_zero()
+                ):
                     raise ParseError(
                         "division is only defined by nonzero rational constants",
                         tok.line,
                         tok.col,
                     )
-                q = Fraction(1) / divisor[1].as_rational()
-                value = self._mul(value, ("scalar", Scalar.from_rational(q)), tok)
+                value = (value[0], value[1].scale(Fraction(1) / const.as_rational()))
             else:
                 return value
 
@@ -386,88 +226,143 @@ class _VertexExprParser:
         value = self.atom()
         if self.ts.accept("SYM", "^"):
             tok = self.ts.expect("INT")
-            if value[0] != "scalar":
-                raise ParseError("powers of states are not defined", tok.line, tok.col)
-            return ("scalar", value[1] ** int(tok.text))
+            if value[0]:
+                raise ParseError(
+                    f"powers of {self.noun}s are not defined", tok.line, tok.col
+                )
+            power = BracketPoly.constant(Scalar.one())
+            for _ in range(int(tok.text)):
+                power = _times(power, value[1])
+            value = (False, power)
         return value
 
     def atom(self):
         tok = self.ts.peek()
         if tok.kind == "INT":
             self.ts.next()
-            return ("scalar", Scalar.from_rational(int(tok.text)))
+            return False, BracketPoly.constant(Scalar.from_rational(int(tok.text)))
         if self.ts.accept("SYM", "("):
             value = self.expr()
             self.ts.expect("SYM", ")")
             return value
-        if self.ts.accept("SYM", ":"):
-            factors = [self.atom()]
-            while True:
-                nxt = self.ts.peek()
-                if nxt.kind == "SYM" and nxt.text == ":":
-                    # Either the closing colon or a nested word: try the
-                    # nested reading first and fall back to closing.
-                    save = self.ts.pos
-                    try:
-                        factors.append(self.atom())
-                        continue
-                    except ParseError:
-                        self.ts.pos = save
-                        self.ts.next()
-                        break
-                factors.append(self.atom())
-            if len(factors) < 2:
-                raise ParseError(
-                    "a normal word needs at least two factors", tok.line, tok.col
-                )
-            for kind, _ in factors:
-                if kind != "vertex":
-                    raise ParseError(
-                        "normal words contain states only", tok.line, tok.col
-                    )
-            out = factors[-1][1]
-            for _, left in reversed(factors[:-1]):
-                out = vx.normal_product(left, out, self.alg)
-            return ("vertex", out)
+        if tok.kind == "SYM" and tok.text == ":":
+            return True, BracketPoly.constant(self._normal_word())
         if tok.kind == "NAME":
             self.ts.next()
             name = tok.text
             if name == "lambda":
-                raise ParseError("lambda is reserved", tok.line, tok.col)
+                if self.query:
+                    raise ParseError("lambda is reserved", tok.line, tok.col)
+                return False, BracketPoly(("lambda",), {(1,): Scalar.one()})
             if name == "vac":
-                return ("vertex", vx.vacuum(self.alg))
+                self._require_query(tok, "vac")
+                return True, BracketPoly.constant(vx.vacuum(self.alg))
             if name in ("d", "T"):
                 power = 1
                 if self.ts.accept("SYM", "^"):
                     power = int(self.ts.expect("INT").text)
                 self.ts.expect("SYM", "(")
-                inner = self.expr()
+                is_element, inner = self.expr()
                 self.ts.expect("SYM", ")")
-                if inner[0] != "vertex":
-                    raise ParseError("d(...) applies to states", tok.line, tok.col)
-                return ("vertex", inner[1].translate_power(power))
+                if not is_element:
+                    raise ParseError(
+                        f"d(...) applies to {self.noun}s", tok.line, tok.col
+                    )
+                return True, inner.map_coeffs(lambda e: e.translate_power(power))
             if name in self.alg.parameters:
-                return ("scalar", Scalar.param(name))
+                return False, BracketPoly.constant(Scalar.param(name))
             if self.alg.is_generator(name) or self.alg.is_central(name):
-                return ("vertex", vx.state(self.alg, name))
+                if self.query:
+                    return True, BracketPoly.constant(vx.state(self.alg, name))
+                return True, BracketPoly.constant(self.alg.gen(name))
             raise ParseError(f"undeclared symbol {name!r}", tok.line, tok.col)
         raise ParseError(
             f"unexpected {tok.kind} {tok.text!r}",
             tok.line,
             tok.col,
-            ["number", "name", "(", ":", "vac", "d("],
+            ["number", "name", "(", ":", "vac", "d("]
+            if self.query
+            else ["number", "name", "(", "d(", "lambda"],
         )
 
+    def _require_query(self, tok, what):
+        if not self.query:
+            raise ParseError(
+                f"{what} belongs in queries, not in a definition", tok.line, tok.col
+            )
 
-def parse_vertex_expr(text: str, alg: AlgebraPresentation):
-    ts = TokenStream(text)
-    kind, value = _VertexExprParser(ts, alg).expr()
+    def _normal_word(self) -> vx.VertexElement:
+        """``:x y ...:``, the right-nested normal product of its factors."""
+        tok = self.ts.next()
+        self._require_query(tok, "a normal word")
+        factors = [self.atom()]
+        while True:
+            nxt = self.ts.peek()
+            if nxt.kind == "SYM" and nxt.text == ":":
+                # Either the closing colon or a nested word: try the nested
+                # reading first and fall back to closing.
+                save = self.ts.pos
+                try:
+                    factors.append(self.atom())
+                    continue
+                except ParseError:
+                    self.ts.pos = save
+                    self.ts.next()
+                    break
+            factors.append(self.atom())
+        if len(factors) < 2:
+            raise ParseError(
+                "a normal word needs at least two factors", tok.line, tok.col
+            )
+        if not all(is_element for is_element, _ in factors):
+            raise ParseError("normal words contain states only", tok.line, tok.col)
+        zero = vx.zero(self.alg)
+        states = [poly.coefficient((0,), zero) for _, poly in factors]
+        out = states[-1]
+        for left in reversed(states[:-1]):
+            out = vx.normal_product(left, out, self.alg)
+        return out
+
+
+def _parse(ts: TokenStream, alg: AlgebraPresentation, query: bool, stop=None):
+    """One expression, which must run to the end of the input or, with
+    ``stop``, up to that symbol (consumed)."""
+    value = _ExprParser(ts, alg, query).expr()
     tok = ts.peek()
-    if not ts.at_end():
+    if not (ts.accept("SYM", stop) if stop else ts.at_end()):
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    if kind == "scalar":
-        return vx.vacuum(alg).scale(value)
     return value
+
+
+def parse_vertex_expr(text: str, alg: AlgebraPresentation) -> vx.VertexElement:
+    """Parse a query operand into a state; a scalar ``s`` is ``s*vac``."""
+    is_element, poly = _parse(TokenStream(text), alg, query=True)
+    if is_element:
+        return poly.coefficient((0,), vx.zero(alg))
+    return vx.vacuum(alg).scale(poly.coefficient((0,), Scalar.zero()))
+
+
+def _conformal_expr(ts: TokenStream, alg: AlgebraPresentation, stop=None) -> BracketPoly:
+    tok = ts.peek()
+    is_element, poly = _parse(ts, alg, False, stop)
+    if not is_element:
+        raise ParseError("expression has no generator part", tok.line, tok.col)
+    return poly
+
+
+def parse_conformal_expr(text: str, alg: AlgebraPresentation) -> BracketPoly:
+    """Parse a lambda-polynomial with conformal-element coefficients (the
+    right-hand side of a bracket statement)."""
+    return _conformal_expr(TokenStream(text), alg)
+
+
+def _conformal_scalar(ts: TokenStream, alg: AlgebraPresentation, stop=None) -> Scalar:
+    """A lambda-free, generator-free scalar expression (an ``acts`` clause)."""
+    tok = ts.peek()
+    is_element, poly = _parse(ts, alg, False, stop)
+    if is_element or poly.degree("lambda") > 0:
+        raise ParseError("expected a scalar expression", tok.line, tok.col)
+    return poly.coefficient((0,), Scalar.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +377,23 @@ def _parse_rational(ts: TokenStream) -> Fraction:
         den = int(ts.expect("INT").text)
         return Fraction(sign * num, den)
     return Fraction(sign * num)
+
+
+def _skip_statement(ts: TokenStream, what: str) -> int:
+    """Move past the tokens of a statement body up to its closing ``;`` (left
+    in place) and return where the body starts, to be parsed once every
+    declaration is known."""
+    start = ts.pos
+    depth = 0
+    while True:
+        tok = ts.peek()
+        if tok.kind == "EOF":
+            raise ParseError(f"unterminated {what}", tok.line, tok.col)
+        if tok.kind == "SYM" and tok.text == ";" and depth == 0:
+            return start
+        if tok.kind == "SYM" and tok.text in "()":
+            depth += 1 if tok.text == "(" else -1
+        ts.next()
 
 
 def parse_definition(text: str) -> AlgebraPresentation:
@@ -530,18 +442,9 @@ def parse_definition(text: str) -> AlgebraPresentation:
                     raise ParseError(
                         "centrals carry no weight declaration", tok.line, tok.col
                     )
-                acts_text = None
                 if ts.accept("NAME", "acts"):
-                    chunk = []
-                    while not (
-                        ts.peek().kind == "EOF"
-                        or (ts.peek().kind == "SYM" and ts.peek().text == ";")
-                    ):
-                        chunk.append(ts.next().text)
-                    acts_text = " ".join(chunk)
+                    pending_acts[gname] = _skip_statement(ts, "acts clause")
                 centrals.append((gname, parity))
-                if acts_text is not None:
-                    pending_acts[gname] = acts_text
             else:
                 generators.append(GeneratorDecl(gname, parity, weight))
             ts.expect("SYM", ";")
@@ -552,19 +455,7 @@ def parse_definition(text: str) -> AlgebraPresentation:
             b = ts.expect("NAME").text
             ts.expect("SYM", "]")
             ts.expect("SYM", "=")
-            chunk = []
-            depth = 0
-            while True:
-                nxt = ts.peek()
-                if nxt.kind == "EOF":
-                    raise ParseError("unterminated bracket statement", nxt.line, nxt.col)
-                if nxt.kind == "SYM" and nxt.text == ";" and depth == 0:
-                    break
-                if nxt.kind == "SYM" and nxt.text == "(":
-                    depth += 1
-                if nxt.kind == "SYM" and nxt.text == ")":
-                    depth -= 1
-                chunk.append(ts.next())
+            start = _skip_statement(ts, "bracket statement")
             ts.expect("SYM", ";")
             key = frozenset((a, b)) if a != b else frozenset((a,))
             if key in declared_pairs:
@@ -572,7 +463,7 @@ def parse_definition(text: str) -> AlgebraPresentation:
                     f"duplicate bracket for the pair [{a},{b}]", tok.line, tok.col
                 )
             declared_pairs.add(key)
-            bracket_statements.append((a, b, chunk, tok))
+            bracket_statements.append((a, b, start, tok))
         else:
             raise ParseError(
                 f"unexpected {tok.kind} {tok.text!r}",
@@ -584,38 +475,32 @@ def parse_definition(text: str) -> AlgebraPresentation:
     if not ts.at_end():
         raise ParseError(f"trailing input {end.text!r}", end.line, end.col)
 
-    # Resolve 'acts' scalars against the declared parameters.
-    central_decls = []
+    # Statement bodies are parsed against the declarations, with every
+    # central symbolic: 'acts' pins act in the vertex layer only.
     bare = AlgebraPresentation(
         name, parameters, tuple(generators),
         tuple(CentralDecl(n, p) for n, p in centrals), {},
     )
+    central_decls = []
     for cname, parity in centrals:
         acts = None
         if cname in pending_acts:
-            poly = parse_conformal_scalar(pending_acts[cname], bare)
-            acts = poly
+            ts.pos = pending_acts[cname]
+            acts = _conformal_scalar(ts, bare, ";")
         central_decls.append(CentralDecl(cname, parity, acts))
-
-    skeleton = AlgebraPresentation(
-        name, parameters, tuple(generators), tuple(central_decls), {}
-    )
     table = {}
-    for a, b, chunk, tok in bracket_statements:
-        text_chunk = _tokens_to_text(chunk)
-        try:
-            poly = parse_conformal_expr(text_chunk, skeleton)
-        except (UndeclaredSymbolError, PresentationError) as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from exc
+    for a, b, start, tok in bracket_statements:
+        ts.pos = start
+        poly = _conformal_expr(ts, bare, ";")
         for gen in (a, b):
-            if not skeleton.is_generator(gen):
+            if not bare.is_generator(gen):
                 raise ParseError(
                     f"undeclared generator {gen!r} in bracket", tok.line, tok.col
                 )
-        if skeleton.index(a) <= skeleton.index(b):
+        if bare.index(a) <= bare.index(b):
             table[(a, b)] = poly
         else:
-            sign = -skeleton.parity(a).sign_with(skeleton.parity(b))
+            sign = -bare.parity(a).sign_with(bare.parity(b))
             table[(b, a)] = substitute_skew(poly).scale(sign)
     try:
         return AlgebraPresentation(
@@ -623,22 +508,3 @@ def parse_definition(text: str) -> AlgebraPresentation:
         )
     except (PresentationError, UndeclaredSymbolError) as exc:
         raise ParseError(str(exc)) from exc
-
-
-def parse_conformal_scalar(text: str, alg: AlgebraPresentation) -> Scalar:
-    """Parse a lambda-free, generator-free scalar expression."""
-    ts = TokenStream(text)
-    value = _ConformalExprParser(ts, alg).expr()
-    tok = ts.peek()
-    if not ts.at_end():
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    if value.kind != "scalar" or value.data.degree("lambda") > 0:
-        raise ParseError("expected a scalar expression", 1, 1)
-    return value.data.coefficient((0,), Scalar.zero())
-
-
-def _tokens_to_text(tokens) -> str:
-    parts = []
-    for tok in tokens:
-        parts.append(tok.text)
-    return " ".join(parts)

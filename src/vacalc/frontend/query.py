@@ -8,13 +8,13 @@ from fractions import Fraction
 from .. import mode_algebra, vertex_calc as vx
 from ..lie_conformal import (
     AlgebraPresentation,
+    ConformalElement,
     VacalcError,
     check_jacobi,
     check_skew,
-    j_products,
     lambda_bracket,
 )
-from .parser import ParseError, parse_element, parse_vertex_expr
+from .parser import ParseError, parse_vertex_expr
 from .render import render_ope, render_result
 
 CHECK_NAMES = ("skew", "jacobi", "borcherds", "mode-jacobi")
@@ -69,17 +69,22 @@ def _parse_mode_ref(text: str):
     return name, index
 
 
-def _try_conformal(text: str, alg: AlgebraPresentation):
-    try:
-        return parse_element(text, alg)
-    except ParseError:
+def _generator_linear(v: vx.VertexElement):
+    """The conformal element of a state made of one-atom words, vacuum and
+    centrals, or None for a state with a longer word.  The vacuum brackets
+    to zero and is dropped, after a parity check that counts it as even."""
+    if any(len(word) > 1 for word in v.words):
         return None
+    vx.engine(v.alg).element_parity(v)
+    return ConformalElement(
+        terms={word.atoms[0]: c for word, c in v.words.items()}, central=v.centrals
+    )
 
 
 def _conformal_vector(alg: AlgebraPresentation) -> vx.VertexElement:
     if alg.is_generator("L"):
         return vx.state(alg, "L")
-    if getattr(alg, "bilinear_form", None) is not None:
+    if alg.bilinear_form is not None:
         return vx.fermion_conformal_vector(alg)
     raise VacalcError(
         "no Virasoro-type state available: declare a generator L"
@@ -93,31 +98,37 @@ def run_query(
     index_range: int = 2,
     max_lambda_degree=None,
 ):
-    """Execute a query; returns (rendered output, exit code)."""
+    """Execute a query; returns (rendered output, exit code).  A
+    ``max_lambda_degree`` guards the engine for this call only."""
     if fmt == "ope" and query.kind not in ("bracket", "ope", "check"):
         raise VacalcError(
             f"--format ope applies to bracket and ope queries, not to {query.kind}"
         )
+    eng = vx.engine(alg)
+    default = eng.max_lambda_degree
     if max_lambda_degree is not None:
-        vx.engine(alg, max_lambda_degree=max_lambda_degree)
-    exit_code = 0
+        eng.max_lambda_degree = max_lambda_degree
+    try:
+        return _run(query, alg, fmt, index_range)
+    finally:
+        eng.max_lambda_degree = default
 
+
+def _run(query: Query, alg: AlgebraPresentation, fmt: str, index_range: int):
     if query.kind in ("bracket", "ope"):
-        xa = _try_conformal(query.args[0], alg)
-        xb = _try_conformal(query.args[1], alg)
-        if xa is not None and xb is not None:
-            if query.kind == "bracket" and fmt != "ope":
-                result = lambda_bracket(xa, xb, alg)
-                return render_result(result, fmt, alg.name, str(query)), 0
-            products = j_products(xa, xb, alg)
-            return render_ope(query.args[0], query.args[1], products, alg), 0
         va = parse_vertex_expr(query.args[0], alg)
         vb = parse_vertex_expr(query.args[1], alg)
-        if query.kind == "bracket" and fmt != "ope":
+        if query.kind == "ope" or fmt == "ope":
+            products = vx.vertex_jproducts(va, vb, alg)
+            return render_ope(query.args[0], query.args[1], products), 0
+        # Brackets of generator-linear operands stay at the conformal level,
+        # where centrals print symbolically.
+        xa, xb = _generator_linear(va), _generator_linear(vb)
+        if xa is not None and xb is not None:
+            result = lambda_bracket(xa, xb, alg)
+        else:
             result = vx.wick_bracket(va, vb, alg)
-            return render_result(result, fmt, alg.name, str(query)), 0
-        products = vx.vertex_jproducts(va, vb, alg)
-        return render_ope(query.args[0], query.args[1], products, alg), 0
+        return render_result(result, fmt, alg.name, str(query)), 0
 
     if query.kind == "nproduct":
         va = parse_vertex_expr(query.args[0], alg)

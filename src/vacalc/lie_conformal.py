@@ -78,22 +78,11 @@ class ConformalElement(LinearCombination):
             out = out.translate()
         return out
 
-    def __str__(self):
-        parts = []
-        for (gen, dpow) in sorted(self.terms):
-            value = self.terms[(gen, dpow)]
-            if dpow == 0:
-                head = gen
-            elif dpow == 1:
-                head = f"d({gen})"
-            else:
-                head = f"d^{dpow}({gen})"
-            parts.append(_scaled(head, value))
+    def _heads(self):
+        for key in sorted(self.terms):
+            yield atom_text(key), self.terms[key]
         for cid in sorted(self.central):
-            parts.append(_scaled(cid, self.central[cid]))
-        return _join(parts)
-
-    __repr__ = __str__
+            yield cid, self.central[cid]
 
 
 def _derivative_key(key) -> tuple:
@@ -103,27 +92,14 @@ def _derivative_key(key) -> tuple:
     return (gen, int(dpow))
 
 
-def _scaled(head: str, value: Scalar) -> str:
-    text = str(value)
-    if text == "1":
-        return head
-    if text == "-1":
-        return f"-{head}"
-    if "+" in text or (text.count("-") > (1 if text.startswith("-") else 0)):
-        return f"({text})*{head}"
-    return f"{text}*{head}"
-
-
-def _join(parts) -> str:
-    if not parts:
-        return "0"
-    out = parts[0]
-    for part in parts[1:]:
-        if part.startswith("-"):
-            out += f" - {part[1:]}"
-        else:
-            out += f" + {part}"
-    return out
+def atom_text(atom) -> str:
+    """``g``, ``d(g)`` or ``d^k(g)`` for the atom ``(g, k)``."""
+    gen, dpow = atom
+    if dpow == 0:
+        return gen
+    if dpow == 1:
+        return f"d({gen})"
+    return f"d^{dpow}({gen})"
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +127,8 @@ class AlgebraPresentation:
     ``table`` holds the bracket of each ordered generator pair (i <= j in
     declaration order) as a polynomial in ``lambda`` with element-valued
     coefficients; mirrors are always derived via skew-symmetry.
+    ``bilinear_form`` is the form a current or free-fermion algebra was
+    built from (None otherwise); it is not part of equality.
     """
 
     def __init__(
@@ -160,6 +138,7 @@ class AlgebraPresentation:
         generators: Iterable[GeneratorDecl] = (),
         centrals: Iterable[CentralDecl] = (),
         table: Mapping | None = None,
+        bilinear_form: Mapping | None = None,
     ):
         self.name = name
         self.parameters = tuple(parameters)
@@ -178,6 +157,8 @@ class AlgebraPresentation:
             if not poly.is_zero():
                 self.table[(a, b)] = poly
         self._validate_table()
+        self.bilinear_form = bilinear_form
+        self._vertex_engine = None  # created by vertex_calc.engine on first use
 
     # -- declaration lookups -------------------------------------------------
 
@@ -558,8 +539,8 @@ def current_algebra(
         generators=basis,
         centrals=(CentralDecl(central, Parity.EVEN, Scalar.param(level)),),
         table=table,
+        bilinear_form={k: Scalar.coerce(v) for k, v in form.items()},
     )
-    alg.bilinear_form = {k: Scalar.coerce(v) for k, v in form.items()}
     if validate:
         _require_axioms(alg)
     return alg
@@ -618,8 +599,8 @@ def free_fermion(
         generators=basis,
         centrals=(CentralDecl(central, Parity.EVEN, pin),),
         table=table,
+        bilinear_form=dict(form),
     )
-    alg.bilinear_form = dict(form)
     if validate:
         _require_axioms(alg)
     return alg

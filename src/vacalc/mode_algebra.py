@@ -73,36 +73,11 @@ class ModeExpression(LinearCombination):
     def zero(cls) -> "ModeExpression":
         return cls()
 
-    def __str__(self):
-        parts = []
+    def _heads(self):
         for sym in sorted(self.terms, key=lambda s: (s.gen, str(s.index))):
-            value = self.terms[sym]
-            text = str(value)
-            if text == "1":
-                parts.append(str(sym))
-            elif text == "-1":
-                parts.append(f"-{sym}")
-            elif "+" in text or " - " in text:
-                parts.append(f"({text})*{sym}")
-            else:
-                parts.append(f"{text}*{sym}")
+            yield str(sym), self.terms[sym]
         for cid in sorted(self.central):
-            value = self.central[cid]
-            text = str(value)
-            if text == "1":
-                parts.append(cid)
-            elif "+" in text or " - " in text:
-                parts.append(f"({text})*{cid}")
-            else:
-                parts.append(f"{text}*{cid}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for part in parts[1:]:
-            out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-        return out
-
-    __repr__ = __str__
+            yield cid, self.central[cid]
 
 
 def _kron_delta(x: Scalar) -> Fraction:

@@ -86,6 +86,8 @@ class BracketPoly(LinearCombination):
         body = ", ".join(f"{e}: {v}" for e, v in self.terms())
         return f"BracketPoly[{','.join(self.variables)}]({body})"
 
+    __str__ = __repr__
+
 
 def substitute_skew(poly: BracketPoly) -> BracketPoly:
     """Substitute ``lambda -> -lambda - d`` in a one-variable polynomial.

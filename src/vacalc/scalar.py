@@ -193,26 +193,10 @@ class Scalar:
         return hash(frozenset(self._terms.items()))
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        chunks = []
-        for mono, coeff in sorted(self._terms.items()):
-            body = "*".join(
-                name if exp == 1 else f"{name}^{exp}" for name, exp in mono
-            )
-            if not body:
-                text = str(abs(coeff))
-            elif abs(coeff) == 1:
-                text = body
-            else:
-                text = f"{abs(coeff)}*{body}"
-            sign = "-" if coeff < 0 else "+"
-            chunks.append((sign, text))
-        first_sign, first = chunks[0]
-        out = ("-" if first_sign == "-" else "") + first
-        for sign, text in chunks[1:]:
-            out += f" {sign} {text}"
-        return out
+        return format_sum(
+            signed_term(coeff, monomial_text(mono))
+            for mono, coeff in sorted(self._terms.items())
+        )
 
     def __repr__(self):
         return f"Scalar({self})"
@@ -222,6 +206,43 @@ ScalarLike = Union[int, Fraction, Scalar]
 
 ZERO = Scalar.zero()
 ONE = Scalar.one()
+
+
+# ---------------------------------------------------------------------------
+# Sums as text: the one formatter of ``c*x + ...`` for every printed sum
+# ---------------------------------------------------------------------------
+
+
+def monomial_text(factors) -> str:
+    """``a*b^2`` from ``(name, exponent)`` pairs with positive exponents."""
+    return "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in factors)
+
+
+def signed_term(coeff, *factors) -> tuple:
+    """The ``(sign, text)`` term ``coeff*factor*...`` of a sum.  A coefficient
+    that is itself a sum is parenthesized, and a unit coefficient is left out
+    unless it stands alone; empty factors are skipped."""
+    text = str(coeff)
+    sign = "+"
+    if " " in text:
+        text = f"({text})"
+    elif text.startswith("-"):
+        sign, text = "-", text[1:]
+    factors = [f for f in factors if f]
+    if text != "1" or not factors:
+        factors.insert(0, text)
+    return sign, "*".join(factors)
+
+
+def format_sum(terms) -> str:
+    """``a + b - c`` from ``(sign, text)`` terms; the empty sum is ``0``."""
+    out = []
+    for sign, text in terms:
+        if out:
+            out.append(f" {sign} {text}")
+        else:
+            out.append("-" + text if sign == "-" else text)
+    return "".join(out) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +416,20 @@ class LinearCombination:
                 tuple(frozenset(getattr(self, name).items()) for name in self._parts)
             )
             return self._hash
+
+    def _heads(self):
+        """``(head text, coefficient)`` pairs in display order, for the types
+        that print as sums."""
+        raise NotImplementedError
+
+    def sum_terms(self, *factors) -> list:
+        """The ``(sign, text)`` terms ``coefficient*factors*head`` of this value."""
+        return [signed_term(c, *factors, head) for head, c in self._heads()]
+
+    def __str__(self):
+        return format_sum(self.sum_terms())
+
+    __repr__ = __str__
 
     def __getstate__(self):
         # The memoized hash depends on the interpreter's string-hash seed, so

@@ -31,6 +31,7 @@ from .lie_conformal import (
     ParityError,
     UndeclaredSymbolError,
     VacalcError,
+    atom_text,
     lambda_bracket,
 )
 from .poly import BracketPoly, integrate_zero_to_lambda, substitute_skew
@@ -46,7 +47,7 @@ class EngineLimitError(VacalcError):
 class NormalWord:
     """Right-nested normally ordered word: atoms ``(generator, d-power)``."""
 
-    __slots__ = ("atoms",)
+    __slots__ = ("atoms", "_hash")
 
     def __init__(self, atoms: Iterable):
         atoms = tuple((g, int(d)) for g, d in atoms)
@@ -55,6 +56,12 @@ class NormalWord:
         if any(d < 0 for _, d in atoms):
             raise ValueError("derivative powers must be non-negative")
         self.atoms = atoms
+        # Words key every engine cache and every state, so hash them once.
+        self._hash = hash(atoms)
+
+    def __reduce__(self):
+        # The hash depends on the interpreter's string-hash seed: recompute it.
+        return NormalWord, (self.atoms,)
 
     def __len__(self):
         return len(self.atoms)
@@ -65,7 +72,7 @@ class NormalWord:
         return self.atoms == other.atoms
 
     def __hash__(self):
-        return hash(self.atoms)
+        return self._hash
 
     def __str__(self):
         return _render_atoms(self.atoms)
@@ -73,19 +80,10 @@ class NormalWord:
     __repr__ = __str__
 
 
-def _render_atom(atom) -> str:
-    g, d = atom
-    if d == 0:
-        return g
-    if d == 1:
-        return f"d({g})"
-    return f"d^{d}({g})"
-
-
 def _render_atoms(atoms) -> str:
     if len(atoms) == 1:
-        return _render_atom(atoms[0])
-    return f":{_render_atom(atoms[0])} {_render_atoms(atoms[1:])}:"
+        return atom_text(atoms[0])
+    return f":{atom_text(atoms[0])} {_render_atoms(atoms[1:])}:"
 
 
 class VertexElement(LinearCombination):
@@ -138,19 +136,13 @@ class VertexElement(LinearCombination):
             out = out.translate()
         return out
 
-    def __str__(self):
-        from .lie_conformal import _join, _scaled
-
-        parts = []
+    def _heads(self):
         for word in sorted(self.words, key=lambda w: (len(w), w.atoms)):
-            parts.append(_scaled(str(word), self.words[word]))
-        if not self.vacuum.is_zero():
-            parts.append(_scaled("vac", self.vacuum))
+            yield str(word), self.words[word]
+        if self._vacuum:
+            yield "vac", self.vacuum
         for cid in sorted(self.centrals):
-            parts.append(_scaled(cid, self.centrals[cid]))
-        return _join(parts)
-
-    __repr__ = __str__
+            yield cid, self.centrals[cid]
 
 
 # -- element constructors ------------------------------------------------------
@@ -469,16 +461,11 @@ class VertexEngine:
         return self.normal_product(left, y)
 
 
-def engine(
-    alg: AlgebraPresentation, max_lambda_degree=None
-) -> VertexEngine:
+def engine(alg: AlgebraPresentation) -> VertexEngine:
     """Evaluation engine for a presentation; caches attach to the presentation."""
-    eng = getattr(alg, "_vertex_engine", None)
+    eng = alg._vertex_engine
     if eng is None:
-        eng = VertexEngine(alg)
-        alg._vertex_engine = eng
-    if max_lambda_degree is not None:
-        eng.max_lambda_degree = max_lambda_degree
+        eng = alg._vertex_engine = VertexEngine(alg)
     return eng
 
 
@@ -801,7 +788,7 @@ def _invert_rational_matrix(rows):
 def fermion_conformal_vector(alg: AlgebraPresentation) -> VertexElement:
     """The state ``1/2 sum_i : d(dual_i) basis_i :`` built from the stored
     bilinear form of a free-fermion presentation."""
-    form = getattr(alg, "bilinear_form", None)
+    form = alg.bilinear_form
     if form is None:
         raise VacalcError("presentation carries no bilinear form")
     names = [g.name for g in alg.generators]

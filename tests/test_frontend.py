@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -12,7 +13,7 @@ from vacalc.frontend import (
     run_query,
 )
 from vacalc.frontend.cli import main
-from vacalc.frontend.parser import parse_element, parse_vertex_expr
+from vacalc.frontend.parser import parse_conformal_expr, parse_vertex_expr
 from vacalc.lie_conformal import (
     GeneratorDecl,
     Parity,
@@ -27,6 +28,7 @@ from vacalc.lie_conformal import (
 from vacalc.mode_algebra import verify_mode_jacobi
 from vacalc.scalar import Scalar, factorial
 from vacalc import vertex_calc as vx
+from vacalc.vertex_calc import EngineLimitError
 
 VIRASORO_FILE = """
 algebra virasoro {
@@ -100,7 +102,7 @@ def test_parity_mismatch_in_rhs_rejected():
 
 
 def test_expression_parsing(vir, fermion2):
-    e = parse_element("d^2(L) - 3*L", vir)
+    e = parse_conformal_expr("d^2(L) - 3*L", vir).coefficient((0,), None)
     assert e == vir.gen("L", 2).add(vir.gen("L").scale(-3))
     v = parse_vertex_expr(":d(psi1) psi1: + 2*vac", fermion2)
     expected = vx.normal_word(fermion2, [("psi1", 1), ("psi1", 0)]).add(
@@ -121,8 +123,6 @@ def test_query_bracket_text(vir):
 
 def test_query_bracket_round_trips_through_parser(vir):
     out, _ = run_query(parse_query(["bracket", "L", "L"]), vir)
-    from vacalc.frontend.parser import parse_conformal_expr
-
     assert parse_conformal_expr(out, vir) == lambda_bracket(
         vir.gen("L"), vir.gen("L"), vir
     )
@@ -209,6 +209,73 @@ def test_bad_queries_raise():
         parse_query(["check", "nonsense"])
 
 
+# -- one grammar for queries and definitions -------------------------------------
+
+LINEAR_TEXTS = [
+    ("virasoro", "d^2(L) - 3*L"),
+    ("virasoro", "(c/2)*C + L"),
+    ("virasoro", "T^2(L)/4 - c^2*d(L)"),
+    ("neveu_schwarz", "T(G)"),
+    ("neveu_schwarz", "(c + 1)*G - d^3(G)/6"),
+    ("current_sl2", "-(1/2)*d(e) + k*h"),
+    ("current_sl2", "e + (f - 2*K)*k"),
+]
+
+
+@pytest.mark.parametrize("name, text", LINEAR_TEXTS)
+def test_query_and_statement_readings_agree(name, text):
+    alg = builtin(name)
+    poly = parse_conformal_expr(text, alg)
+    assert poly.degree("lambda") == 0
+    element = poly.coefficient((0,), None)
+    assert parse_vertex_expr(text, alg) == vx.from_conformal(alg, element)
+
+
+@pytest.mark.parametrize("text", ["L + 2", "d(2)", "L*L", "L/0", "L/c", "L^2"])
+def test_hostile_expressions_rejected_in_both_contexts(vir, text):
+    with pytest.raises(ParseError):
+        parse_vertex_expr(text, vir)
+    with pytest.raises(ParseError):
+        parse_conformal_expr(text, vir)
+    with pytest.raises(ParseError):
+        parse_definition(VIRASORO_FILE.replace("2*lambda*L", f"({text})"))
+
+
+def test_lambda_only_in_definitions_and_words_only_in_queries(vir):
+    with pytest.raises(ParseError, match="lambda is reserved"):
+        parse_vertex_expr("lambda*L", vir)
+    for text in (":L L:", "vac"):
+        with pytest.raises(ParseError, match="belongs in queries") as err:
+            parse_definition(VIRASORO_FILE.replace("2*lambda*L", f"2*lambda*{text}"))
+        assert err.value.line == 6  # the bracket statement's line
+        with pytest.raises(ParseError):
+            parse_conformal_expr(text, vir)
+
+
+def test_linear_operands_bracket_at_the_conformal_level(vir):
+    expected, _ = run_query(parse_query(["bracket", "L", "L"]), vir)
+    assert expected == "d(L) + 2*lambda*L + 1/12*lambda^3*C"
+    for operand in (":L vac:", "L + vac", "L + C - c*vac"):
+        out, _ = run_query(parse_query(["bracket", "L", operand]), vir)
+        assert out == expected
+
+
+def test_lambda_degree_limit_applies_to_one_query():
+    alg = virasoro()
+    with pytest.raises(EngineLimitError):
+        run_query(parse_query(["bracket", "L", ":L L:"]), alg, max_lambda_degree=2)
+    L = vx.state(alg, "L")
+    assert vx.wick_bracket(L, L, alg).degree("lambda") == 3
+
+
+def test_mode_output_writes_unit_centrals_like_generators(sl2):
+    query = parse_query(["modes", "e_-1", "f_1"])
+    out, _ = run_query(query, sl2)
+    assert out == "h_0 - K"
+    payload = json.loads(run_query(query, sl2, fmt="json")[0])
+    assert payload["result"]["centrals"] == {"K": [{"coeff": "-1", "monomial": {}}]}
+
+
 # -- CLI ------------------------------------------------------------------------
 
 
@@ -218,6 +285,14 @@ def test_cli_success(capsys):
     assert code == 0
     assert captured.out.strip() == "d(L) + 2*lambda*L + 1/12*lambda^3*C"
     assert captured.err == ""
+
+
+def test_cli_number_past_the_digit_limit_is_a_usage_error(capsys):
+    assert main(["--builtin", "virasoro", "nproduct", "L", "-2000", "L"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("vacalc: ") and str(sys.get_int_max_str_digits()) in line
 
 
 def test_cli_negative_product_index(capsys):

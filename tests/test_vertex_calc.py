@@ -1,3 +1,7 @@
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -561,10 +565,24 @@ def test_mode_of_primary(fermion2, ns, weight2):
 
 def test_lambda_degree_guard():
     alg = virasoro()
-    vx.engine(alg, max_lambda_degree=2)
+    eng = vx.VertexEngine(alg, max_lambda_degree=2)
     L = vx.state(alg, "L")
     with pytest.raises(EngineLimitError):
-        vx.wick_bracket(L, L, alg)
+        eng.bracket(L, L)
+
+
+def test_normal_word_hash_is_recomputed_on_unpickling():
+    # A word stores its hash, which depends on the string-hash seed: a word
+    # unpickled under another seed must still find equal words.
+    data = pickle.dumps({vx.NormalWord([("G", 1), ("L", 0)]): 1})
+    code = (
+        "import pickle, sys\n"
+        "from vacalc.vertex_calc import NormalWord\n"
+        "table = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert table[NormalWord([('G', 1), ('L', 0)])] == 1\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "4242", "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], input=data, env=env, check=True)
 
 
 def test_parity_mixing_rejected(fermion2):

@@ -5,8 +5,9 @@ The layers, bottom up: :mod:`vacalc.scalar` (exact coefficients),
 :mod:`vacalc.formal_dist` (distribution calculus in one and two formal
 variables), :mod:`vacalc.lie_conformal` (presentations and the
 lambda-bracket), :mod:`vacalc.mode_algebra` (Fourier-mode commutators),
-:mod:`vacalc.vertex_calc` (normally ordered words, Wick recursion, master
-identities), :mod:`vacalc.frontend` (DSL, queries, rendering, CLI).
+:mod:`vacalc.vertex_calc` (normally ordered words, Wick recursion),
+:mod:`vacalc.checks` (axiom checks), :mod:`vacalc.frontend` (DSL, queries,
+rendering, CLI).
 """
 
 from .scalar import Rational, Scalar, binom
@@ -22,8 +23,6 @@ from .lie_conformal import (
     UndeclaredSymbolError,
     VacalcError,
     builtin,
-    check_jacobi,
-    check_skew,
     current_algebra,
     free_boson,
     free_fermion,
@@ -41,14 +40,10 @@ from .mode_algebra import (
     mode,
     mode_commutator,
     normalize_derivative_mode,
-    verify_mode_jacobi,
 )
 from .vertex_calc import (
     NormalWord,
     VertexElement,
-    borcherds_identity_check,
-    borcherds_nproducts_check,
-    borcherds_sweep,
     fermion_conformal_vector,
     mode_of_primary,
     normal_product,
@@ -63,6 +58,14 @@ from .vertex_calc import (
     vacuum,
     weight,
     wick_bracket,
+)
+from .checks import (
+    borcherds_identity_check,
+    borcherds_nproducts_check,
+    borcherds_sweep,
+    check_jacobi,
+    check_skew,
+    verify_mode_jacobi,
 )
 
 __version__ = "0.1.0"

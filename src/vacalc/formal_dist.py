@@ -232,10 +232,6 @@ class TwoVarDistribution(LinearCombination):
     def zero(cls) -> "TwoVarDistribution":
         return cls()
 
-    @classmethod
-    def from_regular(cls, regular) -> "TwoVarDistribution":
-        return cls(regular=regular)
-
     def __str__(self):
         parts = []
         for j in sorted(self.singular):

@@ -92,9 +92,11 @@ def main(argv=None) -> int:
     except ValueError:
         print("vacalc: --range and --max-lambda-degree take integers", file=sys.stderr)
         return 2
-    if index_range < 1:
-        print(f"vacalc: --range must be at least 1, got {index_range}", file=sys.stderr)
-        return 2
+    bounds = (("--range", index_range, 1), ("--max-lambda-degree", max_degree, 0))
+    for option, value, least in bounds:
+        if value is not None and value < least:
+            print(f"vacalc: {option} must be at least {least}, got {value}", file=sys.stderr)
+            return 2
 
     try:
         if "algebra" in options and "builtin" in options:

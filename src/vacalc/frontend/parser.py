@@ -35,6 +35,10 @@ from ..poly import BracketPoly, substitute_skew
 from ..scalar import Scalar
 from .. import vertex_calc as vx
 
+RESERVED = ("lambda", "vac", "d", "T")
+MAX_NESTING = 100
+
+
 class ParseError(VacalcError):
     def __init__(self, message, line=None, col=None, expected=None):
         self.line = line
@@ -164,6 +168,20 @@ class _ExprParser:
         self.alg = alg
         self.query = query
         self.noun = "state" if query else "element"
+        self.depth = 0
+
+    def _nested(self, tok, parse):
+        """``parse()`` one level inside parentheses, ``d(...)`` or a normal
+        word.  The bound turns hostile nesting into a parse error before it
+        reaches the interpreter's recursion limit."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"expression nested more than {MAX_NESTING} levels deep", tok.line, tok.col
+            )
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def expr(self):
         tok = self.ts.peek()
@@ -242,11 +260,11 @@ class _ExprParser:
             self.ts.next()
             return False, BracketPoly.constant(Scalar.from_rational(int(tok.text)))
         if self.ts.accept("SYM", "("):
-            value = self.expr()
+            value = self._nested(tok, self.expr)
             self.ts.expect("SYM", ")")
             return value
         if tok.kind == "SYM" and tok.text == ":":
-            return True, BracketPoly.constant(self._normal_word())
+            return True, BracketPoly.constant(self._nested(tok, self._normal_word))
         if tok.kind == "NAME":
             self.ts.next()
             name = tok.text
@@ -262,7 +280,7 @@ class _ExprParser:
                 if self.ts.accept("SYM", "^"):
                     power = int(self.ts.expect("INT").text)
                 self.ts.expect("SYM", "(")
-                is_element, inner = self.expr()
+                is_element, inner = self._nested(tok, self.expr)
                 self.ts.expect("SYM", ")")
                 if not is_element:
                     raise ParseError(
@@ -301,12 +319,12 @@ class _ExprParser:
             if nxt.kind == "SYM" and nxt.text == ":":
                 # Either the closing colon or a nested word: try the nested
                 # reading first and fall back to closing.
-                save = self.ts.pos
+                save = self.ts.pos, self.depth
                 try:
                     factors.append(self.atom())
                     continue
                 except ParseError:
-                    self.ts.pos = save
+                    self.ts.pos, self.depth = save
                     self.ts.next()
                     break
             factors.append(self.atom())
@@ -379,6 +397,14 @@ def _parse_rational(ts: TokenStream) -> Fraction:
     return Fraction(sign * num)
 
 
+def _declared_name(ts: TokenStream) -> str:
+    """The name in a declaration, which may not be one the grammar reserves."""
+    tok = ts.expect("NAME")
+    if tok.text in RESERVED:
+        raise ParseError(f"{tok.text!r} is reserved and cannot be declared", tok.line, tok.col)
+    return tok.text
+
+
 def _skip_statement(ts: TokenStream, what: str) -> int:
     """Move past the tokens of a statement body up to its closing ``;`` (left
     in place) and return where the body starts, to be parsed once every
@@ -413,14 +439,14 @@ def parse_definition(text: str) -> AlgebraPresentation:
         tok = ts.peek()
         if ts.accept("NAME", "param"):
             while True:
-                parameters.append(ts.expect("NAME").text)
+                parameters.append(_declared_name(ts))
                 if not ts.accept("SYM", ","):
                     break
             ts.expect("SYM", ";")
         elif tok.kind == "NAME" and tok.text in ("generator", "central"):
             ts.next()
             is_central = tok.text == "central"
-            gname = ts.expect("NAME").text
+            gname = _declared_name(ts)
             parity = Parity.EVEN
             weight = None
             if ts.accept("SYM", ":"):

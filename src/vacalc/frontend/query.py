@@ -5,13 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .. import mode_algebra, vertex_calc as vx
+from .. import checks, mode_algebra, vertex_calc as vx
 from ..lie_conformal import (
     AlgebraPresentation,
     ConformalElement,
     VacalcError,
-    check_jacobi,
-    check_skew,
     lambda_bracket,
 )
 from .parser import ParseError, parse_vertex_expr
@@ -125,7 +123,7 @@ def _run(query: Query, alg: AlgebraPresentation, fmt: str, index_range: int):
         # where centrals print symbolically.
         xa, xb = _generator_linear(va), _generator_linear(vb)
         if xa is not None and xb is not None:
-            result = lambda_bracket(xa, xb, alg)
+            result = vx.engine(alg).check_degree(lambda_bracket(xa, xb, alg))
         else:
             result = vx.wick_bracket(va, vb, alg)
         return render_result(result, fmt, alg.name, str(query)), 0
@@ -143,25 +141,20 @@ def _run(query: Query, alg: AlgebraPresentation, fmt: str, index_range: int):
     if query.kind == "modes":
         (ga, ia) = _parse_mode_ref(query.args[0])
         (gb, ib) = _parse_mode_ref(query.args[1])
-        weights = [g.weight for g in alg.generators]
-        indexing = (
-            mode_algebra.WEIGHT
-            if all(w is not None for w in weights)
-            else mode_algebra.SHIFTED
-        )
+        indexing = mode_algebra.default_indexing(alg)
         result = mode_algebra.mode_commutator(ga, ia, gb, ib, alg, indexing)
         return render_result(result, fmt, alg.name, str(query)), 0
 
     if query.kind == "check":
         name = query.args[0]
         if name == "skew":
-            report = check_skew(alg)
+            report = checks.check_skew(alg)
         elif name == "jacobi":
-            report = check_jacobi(alg)
+            report = checks.check_jacobi(alg)
         elif name == "mode-jacobi":
-            report = mode_algebra.verify_mode_jacobi(alg, index_range)
+            report = checks.verify_mode_jacobi(alg, index_range)
         else:
-            report = vx.borcherds_sweep(alg, index_range)
+            report = checks.borcherds_sweep(alg, index_range)
         exit_code = 0 if report.passed else 1
         if fmt == "json":
             return render_result(report, "json", alg.name, str(query)), exit_code

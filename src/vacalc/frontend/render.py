@@ -4,34 +4,17 @@ operator product expansion."""
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 
 from ..lie_conformal import AlgebraPresentation, ConformalElement, VacalcError
 from ..mode_algebra import ModeExpression
 from ..poly import BracketPoly
-from ..scalar import Scalar, format_sum, monomial_text, signed_term
+from ..scalar import Scalar, format_sum, monomial_text
 from ..vertex_calc import VertexElement
 
 SCHEMA_VERSION = 1
-
-
-# ---------------------------------------------------------------------------
-# text
-# ---------------------------------------------------------------------------
-
-
-def render_poly_text(poly: BracketPoly, variables=None) -> str:
-    """A bracket polynomial in parseable text, lowest degree first."""
-    names = variables or poly.variables
-    terms = []
-    for exps, value in poly.terms():
-        lam = monomial_text((name, k) for name, k in zip(names, exps) if k)
-        if isinstance(value, Scalar):
-            terms.append(signed_term(value, lam))
-        else:
-            terms.extend(value.sum_terms(lam))
-    return format_sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -91,21 +74,14 @@ def render_ope(a_name: str, b_name: str, products) -> str:
 # LaTeX
 # ---------------------------------------------------------------------------
 
-_LATEX = (
-    ("lambda", r"\lambda"),
-    ("mu", r"\mu"),
-    ("d(", r"\partial("),
-    ("d^", r"\partial^"),
-    ("vac", r"|0\rangle"),
-    ("*", r"\,"),
-)
+# Only whole identifiers are rewritten, and the parser reserves these names,
+# so a match is always the bracket variable, the vacuum or the derivation.
+_LATEX = {"lambda": r"\lambda", "vac": r"|0\rangle", "d": r"\partial", "*": r"\,"}
+_LATEX_TOKEN = re.compile(r"\b(?:lambda|vac)\b|\bd(?=[(^])|\*")
 
 
 def render_latex(obj) -> str:
-    out = obj if isinstance(obj, str) else render_text(obj)
-    for old, new in _LATEX:
-        out = out.replace(old, new)
-    return out
+    return _LATEX_TOKEN.sub(lambda m: _LATEX[m.group()], str(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +187,8 @@ def to_json_payload(result, algebra: str, query: str):
 
 
 # ---------------------------------------------------------------------------
-# generic text + definitions
+# results and definitions
 # ---------------------------------------------------------------------------
-
-
-def render_text(obj) -> str:
-    if isinstance(obj, BracketPoly):
-        return render_poly_text(obj)
-    return str(obj)
 
 
 def render_result(result, fmt: str, algebra: str = "", query: str = "") -> str:
@@ -227,7 +197,7 @@ def render_result(result, fmt: str, algebra: str = "", query: str = "") -> str:
     try:
         if fmt == "json":
             return to_json_payload(result, algebra, query)
-        return render_latex(result) if fmt == "latex" else render_text(result)
+        return render_latex(result) if fmt == "latex" else str(result)
     except ValueError as exc:
         if "integer string conversion" not in str(exc):
             raise
@@ -256,6 +226,6 @@ def render_definition(alg: AlgebraPresentation) -> str:
     for (a, b), poly in sorted(
         alg.table.items(), key=lambda kv: (alg.index(kv[0][0]), alg.index(kv[0][1]))
     ):
-        lines.append(f"  bracket [{a}, {b}] = {render_poly_text(poly)};")
+        lines.append(f"  bracket [{a}, {b}] = {poly};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .lie_conformal import (
     AlgebraPresentation,
-    CheckReport,
     ConformalElement,
     VacalcError,
     j_products,
@@ -57,6 +56,11 @@ class ModeSymbol:
 
 def mode(gen: str, index: ScalarLike, indexing: str = SHIFTED) -> ModeSymbol:
     return ModeSymbol(gen, Scalar.coerce(index), indexing)
+
+
+def default_indexing(alg: AlgebraPresentation) -> str:
+    """Weight indexing when every generator declares a weight, else shifted."""
+    return WEIGHT if all(g.weight is not None for g in alg.generators) else SHIFTED
 
 
 class ModeExpression(LinearCombination):
@@ -195,103 +199,3 @@ def commute(a: ModeSymbol, b: ModeSymbol, alg: AlgebraPresentation) -> ModeExpre
             f"indexing mismatch: {a} is {a.indexing}, {b} is {b.indexing}"
         )
     return mode_commutator(a.gen, a.index, b.gen, b.index, alg, a.indexing)
-
-
-def _expr_commutator(x: ModeExpression, y: ModeExpression, comm) -> ModeExpression:
-    """Bilinear extension of a mode commutator ``comm(a, b)`` on symbols;
-    centrals commute."""
-    return ModeExpression.zero().combine(
-        (comm(sa, sb), va * vb)
-        for sa, va in x.terms.items()
-        for sb, vb in y.terms.items()
-    )
-
-
-def _index_grid(alg: AlgebraPresentation, gen: str, bound: int, indexing: str):
-    """Indices in [-bound, bound]: integers when shifted; for weight indexing
-    the grid is offset so that index + weight is integral."""
-    if indexing == SHIFTED:
-        return [Fraction(k) for k in range(-bound, bound + 1)]
-    offset = (-alg.weight(gen)) % 1
-    values = []
-    v = Fraction(-bound) + offset
-    while v <= bound:
-        values.append(v)
-        v += 1
-    return values
-
-
-@dataclass
-class ModeFailure:
-    kind: str
-    subject: tuple
-    diff: ModeExpression
-
-    def __str__(self):
-        where = ", ".join(str(s) for s in self.subject)
-        return f"{self.kind} at ({where}): {self.diff}"
-
-
-def verify_mode_jacobi(
-    alg: AlgebraPresentation, index_range: int, indexing: str | None = None
-) -> CheckReport:
-    """Graded antisymmetry and Jacobi for all generator triples with indices
-    in [-range, range] (on each generator's own integral or half-integral
-    grid when weight-indexed)."""
-    if index_range < 1:
-        raise ValueError("index range must be at least 1")
-    if indexing is None:
-        weights = [g.weight for g in alg.generators]
-        indexing = WEIGHT if all(w is not None for w in weights) else SHIFTED
-    gens = [g.name for g in alg.generators]
-    grids = {
-        g: [mode(g, i, indexing) for i in _index_grid(alg, g, index_range, indexing)]
-        for g in gens
-    }
-    failures = []
-    checked = 0
-    table: dict = {}
-
-    def comm(x: ModeSymbol, y: ModeSymbol) -> ModeExpression:
-        key = (x, y)
-        out = table.get(key)
-        if out is None:
-            out = table[key] = commute(x, y, alg)
-        return out
-
-    single = {x: ModeExpression(terms={x: 1}) for grid in grids.values() for x in grid}
-
-    for a in gens:
-        for b in gens:
-            sign_ab = alg.parity(a).sign_with(alg.parity(b))
-            for x in grids[a]:
-                for y in grids[b]:
-                    checked += 1
-                    diff = comm(x, y).combine(((comm(y, x), sign_ab),))
-                    if not diff.is_zero():
-                        failures.append(
-                            ModeFailure("antisymmetry", _subject(x, y), diff)
-                        )
-    for a in gens:
-        for b in gens:
-            sign_ab = alg.parity(a).sign_with(alg.parity(b))
-            for c in gens:
-                for x in grids[a]:
-                    for y in grids[b]:
-                        for z in grids[c]:
-                            lhs = _expr_commutator(single[x], comm(y, z), comm)
-                            first = _expr_commutator(comm(x, y), single[z], comm)
-                            second = _expr_commutator(single[y], comm(x, z), comm)
-                            checked += 1
-                            diff = lhs.combine(((first, -1), (second, -sign_ab)))
-                            if not diff.is_zero():
-                                failures.append(
-                                    ModeFailure("jacobi", _subject(x, y, z), diff)
-                                )
-    return CheckReport("mode-jacobi", alg.name, checked, failures)
-
-
-def _subject(*symbols: ModeSymbol) -> tuple:
-    """Failure subjects name modes as ``gen_index`` with the index as a
-    rational, e.g. ``G_-1/2``."""
-    return tuple(f"{s.gen}_{s.index.as_rational()}" for s in symbols)

@@ -12,7 +12,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .scalar import LinearCombination, binom, factorial, sparse_sum
+from .scalar import (
+    LinearCombination,
+    Scalar,
+    binom,
+    factorial,
+    format_sum,
+    monomial_text,
+    signed_term,
+    sparse_sum,
+)
 
 
 class BracketPoly(LinearCombination):
@@ -82,11 +91,20 @@ class BracketPoly(LinearCombination):
             out[tuple(new)] = value
         return self._build(out)
 
+    def __str__(self):
+        """Parseable text, lowest degree first: ``d(L) + 2*lambda*L``."""
+        terms = []
+        for exps, value in self.terms():
+            lam = monomial_text((name, k) for name, k in zip(self.variables, exps) if k)
+            if isinstance(value, Scalar):
+                terms.append(signed_term(value, lam))
+            else:
+                terms.extend(value.sum_terms(lam))
+        return format_sum(terms)
+
     def __repr__(self):
         body = ", ".join(f"{e}: {v}" for e, v in self.terms())
         return f"BracketPoly[{','.join(self.variables)}]({body})"
-
-    __str__ = __repr__
 
 
 def substitute_skew(poly: BracketPoly) -> BracketPoly:

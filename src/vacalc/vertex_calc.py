@@ -20,12 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Mapping
 
 from .lie_conformal import (
     AlgebraPresentation,
-    CheckReport,
     ConformalElement,
     Parity,
     ParityError,
@@ -35,13 +33,13 @@ from .lie_conformal import (
     lambda_bracket,
 )
 from .poly import BracketPoly, integrate_zero_to_lambda, substitute_skew
-from .scalar import ZERO, LinearCombination, Scalar, binom, factorial
+from .scalar import ZERO, LinearCombination, Scalar, factorial
 
 DEFAULT_MAX_LAMBDA_DEGREE = 64
 
 
 class EngineLimitError(VacalcError):
-    """A recursion or degree guard tripped (inconsistent table suspected)."""
+    """The lambda-degree guard tripped (inconsistent table suspected)."""
 
 
 class NormalWord:
@@ -201,7 +199,6 @@ class VertexEngine:
         self._bracket_cache: dict = {}
         self._insert_cache: dict = {}
         self._translate_cache: dict = {}
-        self._depth = 0
         self.zero = VertexElement(alg)
 
     # -- structural helpers ------------------------------------------------------
@@ -228,14 +225,6 @@ class VertexEngine:
         if len(parities) > 1:
             raise ParityError(f"state {x} mixes parities")
         return parities.pop() if parities else Parity.EVEN
-
-    def _guard(self):
-        self._depth += 1
-        if self._depth > 4000:
-            raise EngineLimitError(
-                "recursion limit exceeded; the bracket table is probably "
-                "inconsistent with locality"
-            )
 
     # -- canonical words ----------------------------------------------------------
 
@@ -284,37 +273,33 @@ class VertexEngine:
         cached = self._insert_cache.get(key)
         if cached is not None:
             return cached
-        self._guard()
-        try:
-            head = word.atoms[0]
-            ka, kb = self.atom_key(atom), self.atom_key(head)
-            if ka < kb or (ka == kb and self.atom_parity(atom) is Parity.EVEN):
-                result = VertexElement(
-                    self.alg, words={NormalWord((atom,) + word.atoms): 1}
-                )
-            elif ka == kb:
-                # Repeated odd atom: 2 a_(-1) a_(-1) = sum_j (-1)^j (a_(j)a)_(-2-j).
-                rest = self._tail_element(word)
-                pair = self._word_bracket(NormalWord((atom,)), NormalWord((head,)))
-                result = self.zero.combine(
-                    (self.nproduct(prod, -2 - j, rest), Fraction((-1) ** j, 2))
+        head = word.atoms[0]
+        ka, kb = self.atom_key(atom), self.atom_key(head)
+        if ka < kb or (ka == kb and self.atom_parity(atom) is Parity.EVEN):
+            result = VertexElement(
+                self.alg, words={NormalWord((atom,) + word.atoms): 1}
+            )
+        elif ka == kb:
+            # Repeated odd atom: 2 a_(-1) a_(-1) = sum_j (-1)^j (a_(j)a)_(-2-j).
+            rest = self._tail_element(word)
+            pair = self._word_bracket(NormalWord((atom,)), NormalWord((head,)))
+            result = self.zero.combine(
+                (self.nproduct(prod, -2 - j, rest), Fraction((-1) ** j, 2))
+                for j, prod in pair.j_products()
+            )
+        else:
+            # Straighten: a b = p(a,b) b a + [a_(-1), b_(-1)].
+            rest = self._tail_element(word)
+            sign = self.atom_parity(atom).sign_with(self.atom_parity(head))
+            main = self.insert_atom(head, self._insert_or_atom(atom, word.atoms[1:]))
+            pair = self._word_bracket(NormalWord((atom,)), NormalWord((head,)))
+            result = self.zero.combine(
+                [(main, sign)]
+                + [
+                    (self.nproduct(prod, -2 - j, rest), (-1) ** j)
                     for j, prod in pair.j_products()
-                )
-            else:
-                # Straighten: a b = p(a,b) b a + [a_(-1), b_(-1)].
-                rest = self._tail_element(word)
-                sign = self.atom_parity(atom).sign_with(self.atom_parity(head))
-                main = self.insert_atom(head, self._insert_or_atom(atom, word.atoms[1:]))
-                pair = self._word_bracket(NormalWord((atom,)), NormalWord((head,)))
-                result = self.zero.combine(
-                    [(main, sign)]
-                    + [
-                        (self.nproduct(prod, -2 - j, rest), (-1) ** j)
-                        for j, prod in pair.j_products()
-                    ]
-                )
-        finally:
-            self._depth -= 1
+                ]
+            )
         self._insert_cache[key] = result
         return result
 
@@ -339,39 +324,39 @@ class VertexEngine:
             for wx, sx in sorted(x.words.items(), key=lambda kv: kv[0].atoms)
             for wy, sy in sorted(y.words.items(), key=lambda kv: kv[0].atoms)
         )
+        return self.check_degree(out)
+
+    def check_degree(self, poly: BracketPoly) -> BracketPoly:
+        """``poly``, unless its lambda degree exceeds the engine's guard."""
         if (
             self.max_lambda_degree is not None
-            and out.degree("lambda") > self.max_lambda_degree
+            and poly.degree("lambda") > self.max_lambda_degree
         ):
             raise EngineLimitError(
                 f"lambda degree exceeds guard {self.max_lambda_degree}"
             )
-        return out
+        return poly
 
     def _word_bracket(self, W: NormalWord, U: NormalWord) -> BracketPoly:
         key = (W, U)
         cached = self._bracket_cache.get(key)
         if cached is not None:
             return cached
-        self._guard()
-        try:
-            g, d = W.atoms[0]
-            if len(W) == 1 and d > 0:
-                base = self._word_bracket(NormalWord(((g, 0),)), U)
-                result = base.shift_power("lambda", d).scale(Fraction(-1) ** d)
-            elif len(W) == 1 and len(U) == 1:
-                h, e = U.atoms[0]
-                conf = lambda_bracket(self.alg.gen(g), self.alg.gen(h, e), self.alg)
-                result = conf.map_coeffs(lambda c: from_conformal(self.alg, c))
-            elif len(U) == 1:
-                # Composite left, single right: quasi-symmetry flip.
-                inner = self._word_bracket(U, W)
-                sign = -self.word_parity(W).sign_with(self.word_parity(U))
-                result = substitute_skew(inner).scale(sign)
-            else:
-                result = self._wick_composite_right(W, U)
-        finally:
-            self._depth -= 1
+        g, d = W.atoms[0]
+        if len(W) == 1 and d > 0:
+            base = self._word_bracket(NormalWord(((g, 0),)), U)
+            result = base.shift_power("lambda", d).scale(Fraction(-1) ** d)
+        elif len(W) == 1 and len(U) == 1:
+            h, e = U.atoms[0]
+            conf = lambda_bracket(self.alg.gen(g), self.alg.gen(h, e), self.alg)
+            result = conf.map_coeffs(lambda c: from_conformal(self.alg, c))
+        elif len(U) == 1:
+            # Composite left, single right: quasi-symmetry flip.
+            inner = self._word_bracket(U, W)
+            sign = -self.word_parity(W).sign_with(self.word_parity(U))
+            result = substitute_skew(inner).scale(sign)
+        else:
+            result = self._wick_composite_right(W, U)
         self._bracket_cache[key] = result
         return result
 
@@ -538,146 +523,6 @@ def quasi_assoc_defect_integral(a, b, c, alg=None) -> VertexElement:
     terms = contribution(a, b, 1)
     sign = eng.element_parity(a).sign_with(eng.element_parity(b))
     return eng.zero.combine(terms + contribution(b, a, sign))
-
-
-@dataclass
-class IdentityReport:
-    name: str
-    subject: tuple
-    lhs: VertexElement
-    rhs: VertexElement
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
-
-    def __str__(self):
-        where = ", ".join(str(s) for s in self.subject)
-        status = "ok" if self.passed else "FAIL"
-        lines = [f"{self.name} at ({where}): {status}"]
-        if not self.passed:
-            lines.append(f"  lhs = {self.lhs}")
-            lines.append(f"  rhs = {self.rhs}")
-            lines.append(f"  diff = {self.lhs.sub(self.rhs)}")
-        return "\n".join(lines)
-
-
-def borcherds_nproducts_check(
-    a: VertexElement, b: VertexElement, n: int, alg=None
-) -> IdentityReport:
-    """Quasi-symmetry in mode form:
-    ``a_(n)b = -p(a,b) (-1)^n sum_j (-T)^j / j! (b_(n+j) a)``."""
-    eng = engine(alg or a.alg)
-    lhs = eng.nproduct(a, n, b)
-    degree = eng.bracket(b, a).degree("lambda")
-    jmax = max(0, degree - n, -n - 1)
-    sign = -eng.element_parity(a).sign_with(eng.element_parity(b)) * Fraction(-1) ** n
-    rhs = eng.zero.combine(
-        (eng.nproduct(b, n + j, a).translate_power(j), Fraction(sign * (-1) ** j, factorial(j)))
-        for j in range(jmax + 1)
-    )
-    return IdentityReport("borcherds-n-products", (f"n={n}",), lhs, rhs)
-
-
-class _ProductTable:
-    """n-products and bracket degrees of elements, memoized for as long as
-    the table lives: one identity, or one generator triple of a sweep."""
-
-    def __init__(self, eng: VertexEngine):
-        self.eng = eng
-        self._products: dict = {}
-        self._degrees: dict = {}
-
-    def nproduct(self, x: VertexElement, n: int, y: VertexElement) -> VertexElement:
-        key = (x, n, y)
-        out = self._products.get(key)
-        if out is None:
-            out = self._products[key] = self.eng.nproduct(x, n, y)
-        return out
-
-    def degree(self, x: VertexElement, y: VertexElement) -> int:
-        key = (x, y)
-        out = self._degrees.get(key)
-        if out is None:
-            out = self._degrees[key] = self.eng.bracket(x, y).degree("lambda")
-        return out
-
-
-def borcherds_identity_check(
-    a: VertexElement,
-    b: VertexElement,
-    c: VertexElement,
-    m: int,
-    n: int,
-    q: int,
-    alg=None,
-) -> IdentityReport:
-    """The master identity
-    ``sum_i C(m,i) (a_(q+i) b)_(m+n-i) c =
-      sum_i (-1)^i C(q,i) ( a_(m+q-i)(b_(n+i) c)
-                            - p(a,b) (-1)^q b_(n+q-i)(a_(m+i) c) )``.
-    All sums are finite: positive products vanish beyond the bracket degree.
-    At q = 0 this is the graded mode-commutator formula.
-    """
-    table = _ProductTable(engine(alg or a.alg))
-    return _borcherds_identity(table, (a, b, c), m, n, q, (str(a), str(b), str(c)))
-
-
-def _borcherds_identity(table: _ProductTable, triple, m, n, q, names) -> IdentityReport:
-    """The master identity on the states ``triple``, reported under the
-    subject ``names`` followed by m, n and q."""
-    a, b, c = triple
-    eng = table.eng
-    terms = []
-    for i in range(max(0, table.degree(a, b) - q) + 1):
-        coeff = binom(m, i)
-        if not coeff:
-            continue
-        inner = table.nproduct(a, q + i, b)
-        if inner.is_zero():
-            continue
-        terms.append((table.nproduct(inner, m + n - i, c), coeff))
-    lhs = eng.zero.combine(terms)
-    if q >= 0:
-        imax = q
-    else:
-        imax = max(0, table.degree(b, c) - n, table.degree(a, c) - m)
-    sign_q = Fraction(-1) ** q * eng.element_parity(a).sign_with(eng.element_parity(b))
-    terms = []
-    for i in range(imax + 1):
-        coeff = binom(q, i) * (-1) ** i
-        if not coeff:
-            continue
-        first = table.nproduct(a, m + q - i, table.nproduct(b, n + i, c))
-        second = table.nproduct(b, n + q - i, table.nproduct(a, m + i, c))
-        terms += [(first, coeff), (second, -sign_q * coeff)]
-    rhs = eng.zero.combine(terms)
-    subject = (*names, f"m={m}", f"n={n}", f"q={q}")
-    return IdentityReport("borcherds-identity", subject, lhs, rhs)
-
-
-def borcherds_sweep(alg: AlgebraPresentation, index_range: int) -> CheckReport:
-    """The master identity for every generator triple and every m, n, q in
-    [-range, range].  The identities of one triple share an n-product table,
-    which is dropped before the next triple."""
-    if index_range < 1:
-        raise ValueError("index range must be at least 1")
-    eng = engine(alg)
-    states = {g.name: state(alg, g.name) for g in alg.generators}
-    span = range(-index_range, index_range + 1)
-    failures = []
-    checked = 0
-    for names in product(states, repeat=3):
-        triple = tuple(states[name] for name in names)
-        table = _ProductTable(eng)
-        for m in span:
-            for n in span:
-                for q in span:
-                    report = _borcherds_identity(table, triple, m, n, q, names)
-                    checked += 1
-                    if not report.passed:
-                        failures.append(report)
-    return CheckReport("borcherds", alg.name, checked, failures)
 
 
 # -- weights ------------------------------------------------------------------

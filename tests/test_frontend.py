@@ -1,7 +1,9 @@
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -18,14 +20,18 @@ from vacalc.lie_conformal import (
     GeneratorDecl,
     Parity,
     builtin,
-    check_jacobi,
-    check_skew,
     current_algebra,
     lambda_bracket,
     neveu_schwarz,
     virasoro,
 )
-from vacalc.mode_algebra import verify_mode_jacobi
+from vacalc.checks import (
+    borcherds_identity_check,
+    borcherds_sweep,
+    check_jacobi,
+    check_skew,
+    verify_mode_jacobi,
+)
 from vacalc.scalar import Scalar, factorial
 from vacalc import vertex_calc as vx
 from vacalc.vertex_calc import EngineLimitError
@@ -482,7 +488,7 @@ def corrupt_sl2():
 
 def test_sweeps_report_every_failure_of_a_corrupt_table():
     alg = corrupt_sl2()
-    report = vx.borcherds_sweep(alg, 1)
+    report = borcherds_sweep(alg, 1)
     assert (report.checked, len(report.failures)) == (729, 62)
     expected = [
         (*triple, f"m={m}", f"n={n}", f"q={q}")
@@ -494,7 +500,7 @@ def test_sweeps_report_every_failure_of_a_corrupt_table():
     states = {g: vx.state(alg, g) for g in "efh"}
     for (a, b, c), failing in CORRUPT_SL2_BORCHERDS.items():
         for m, n, q in product((-1, 0, 1), repeat=3):
-            single = vx.borcherds_identity_check(states[a], states[b], states[c], m, n, q, alg)
+            single = borcherds_identity_check(states[a], states[b], states[c], m, n, q, alg)
             assert single.passed == ((m, n, q) not in failing), (a, b, c, m, n, q)
 
     report = verify_mode_jacobi(alg, 1)
@@ -509,3 +515,71 @@ def test_sweeps_report_every_failure_of_a_corrupt_table():
     for check in ("borcherds", "mode-jacobi"):
         _, code = run_query(parse_query(["check", check]), corrupt_sl2(), index_range=1)
         assert code == 1
+
+
+def test_lambda_degree_limit_covers_the_conformal_bracket(capsys):
+    argv = ["--builtin", "virasoro", "--max-lambda-degree", "1", "bracket", "L", "L"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "vacalc: lambda degree exceeds guard 1\n")
+    argv[3] = "3"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "d(L) + 2*lambda*L + 1/12*lambda^3*C\n"
+
+
+def test_negative_lambda_degree_limit_rejected(capsys):
+    assert main(["--builtin", "virasoro", "--max-lambda-degree", "-1", "bracket", "L", "L"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "vacalc: --max-lambda-degree must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "decl, name",
+    [
+        ("param c, lambda;", "lambda"),
+        ("generator vac : even, weight 1;", "vac"),
+        ("central d : even;", "d"),
+        ("generator T : odd;", "T"),
+    ],
+)
+def test_reserved_names_cannot_be_declared(decl, name):
+    with pytest.raises(ParseError, match=f"'{name}' is reserved") as err:
+        parse_definition(f"algebra x {{\n  {decl}\n}}")
+    assert (err.value.line, err.value.col) == (2, 3 + decl.index(name))
+
+
+def test_latex_replaces_whole_identifiers_only(tmp_path, capsys):
+    path = tmp_path / "names.vac"
+    path.write_text("algebra names {\n  generator mu : even;\n  generator vacx : even;\n}\n")
+    assert main(["--algebra", str(path), "--format", "latex", "nproduct", "mu", "-1", "vacx"]) == 0
+    assert capsys.readouterr().out == ":mu vacx:\n"
+
+
+@pytest.mark.parametrize(
+    "operand",
+    ["(" * 300 + "L" + ")" * 300, ":" * 500 + "L", "(" * 101 + "L" + ")" * 101],
+)
+def test_deep_nesting_is_a_parse_error(capsys, operand):
+    assert main(["--builtin", "virasoro", "weight", operand]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "vacalc: expression nested more than 100 levels deep at line 1, column 101\n"
+    )
+
+
+def test_nesting_at_the_bound_parses(capsys):
+    operand = "d(" * 40 + ":L " + "(" * 59 + "L" + ")" * 59 + ":" + ")" * 40
+    assert main(["--builtin", "virasoro", "weight", operand]) == 0
+    assert capsys.readouterr().out == "44\n"
+
+
+def test_readme_library_sketch_prints_what_it_says(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    [block] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    expected = [line[2:] for line in block.splitlines() if line.startswith("# ")]
+    assert capsys.readouterr().out.splitlines() == expected == [
+        "-1/2*d(psi1) + 1/2*lambda*psi1"
+    ]

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rng_for
+from vacalc.checks import check_jacobi, check_skew
 from vacalc.lie_conformal import (
     AlgebraPresentation,
     CentralDecl,
@@ -11,8 +12,6 @@ from vacalc.lie_conformal import (
     Parity,
     ParityError,
     PresentationError,
-    check_jacobi,
-    check_skew,
     current_algebra,
     free_boson,
     free_fermion,

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from vacalc.checks import verify_mode_jacobi
 from vacalc.lie_conformal import (
     AlgebraPresentation,
     CentralDecl,
@@ -20,7 +21,6 @@ from vacalc.mode_algebra import (
     mode,
     mode_commutator,
     normalize_derivative_mode,
-    verify_mode_jacobi,
 )
 from vacalc.poly import BracketPoly
 from vacalc.scalar import Scalar

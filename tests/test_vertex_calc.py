@@ -8,6 +8,7 @@ import pytest
 
 from conftest import rng_for
 from vacalc import vertex_calc as vx
+from vacalc.checks import borcherds_identity_check, borcherds_nproducts_check
 from vacalc.lie_conformal import (
     AlgebraPresentation,
     CentralDecl,
@@ -326,7 +327,7 @@ def test_associator_supersymmetry(fermion22):
 
 def test_borcherds_nproducts_virasoro(vir):
     L = vx.state(vir, "L")
-    report = vx.borcherds_nproducts_check(L, L, 1, vir)
+    report = borcherds_nproducts_check(L, L, 1, vir)
     assert report.passed
     assert report.lhs == L.scale(2)
 
@@ -336,12 +337,12 @@ def test_borcherds_nproducts_negative_one_is_quasi_comm(fermion22):
     for _ in range(10):
         a = random_state(rng, fermion22)
         b = random_state(rng, fermion22)
-        assert vx.borcherds_nproducts_check(a, b, -1, fermion22).passed
+        assert borcherds_nproducts_check(a, b, -1, fermion22).passed
 
 
 def test_borcherds_nproducts_odd_zero_mode(fermion2):
     p = vx.state(fermion2, "psi1")
-    report = vx.borcherds_nproducts_check(p, p, 0, fermion2)
+    report = borcherds_nproducts_check(p, p, 0, fermion2)
     assert report.passed
     assert report.lhs == vx.vacuum(fermion2)
 
@@ -351,7 +352,7 @@ def test_borcherds_nproducts_sweep(fermion22):
     for n in range(-3, 4):
         a = random_state(rng, fermion22)
         b = random_state(rng, fermion22)
-        assert vx.borcherds_nproducts_check(a, b, n, fermion22).passed
+        assert borcherds_nproducts_check(a, b, n, fermion22).passed
 
 
 # -- Borcherds identity -----------------------------------------------------------------
@@ -359,7 +360,7 @@ def test_borcherds_nproducts_sweep(fermion22):
 
 def test_borcherds_identity_fermion_origin(fermion2):
     p1, p2 = vx.state(fermion2, "psi1"), vx.state(fermion2, "psi2")
-    report = vx.borcherds_identity_check(p1, p2, p1, 0, 0, 0, fermion2)
+    report = borcherds_identity_check(p1, p2, p1, 0, 0, 0, fermion2)
     assert report.passed
     # both sides vanish here: a_(0)b is a vacuum multiple and x_(0)|0> = 0
     assert report.lhs.is_zero() and report.rhs.is_zero()
@@ -367,12 +368,12 @@ def test_borcherds_identity_fermion_origin(fermion2):
 
 def test_borcherds_identity_virasoro(vir):
     L = vx.state(vir, "L")
-    assert vx.borcherds_identity_check(L, L, L, 1, -1, -2, vir).passed
+    assert borcherds_identity_check(L, L, L, 1, -1, -2, vir).passed
 
 
 def test_borcherds_identity_trivial_beyond_locality(fermion2):
     p1, p2 = vx.state(fermion2, "psi1"), vx.state(fermion2, "psi2")
-    report = vx.borcherds_identity_check(p1, p2, p1, 0, 0, 5, fermion2)
+    report = borcherds_identity_check(p1, p2, p1, 0, 0, 5, fermion2)
     assert report.passed
     assert report.lhs.is_zero()
 
@@ -386,7 +387,7 @@ def test_borcherds_identity_virasoro_ns_sweep(vir, ns):
                     for m in range(-2, 3):
                         for n in range(-2, 3):
                             for q in range(-2, 3):
-                                assert vx.borcherds_identity_check(
+                                assert borcherds_identity_check(
                                     a, b, c, m, n, q, alg
                                 ).passed, (alg.name, m, n, q)
 

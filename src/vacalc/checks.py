@@ -190,12 +190,10 @@ def verify_mode_jacobi(
 # -- Borcherds identities ------------------------------------------------------
 
 
-def borcherds_nproducts_check(
-    a: VertexElement, b: VertexElement, n: int, alg=None
-) -> Identity:
+def borcherds_nproducts_check(a: VertexElement, b: VertexElement, n: int) -> Identity:
     """Quasi-symmetry in mode form:
     ``a_(n)b = -p(a,b) (-1)^n sum_j (-T)^j / j! (b_(n+j) a)``."""
-    eng = engine(alg or a.alg)
+    eng = engine(a.alg)
     lhs = eng.nproduct(a, n, b)
     degree = eng.bracket(b, a).degree("lambda")
     jmax = max(0, degree - n, -n - 1)
@@ -238,7 +236,6 @@ def borcherds_identity_check(
     m: int,
     n: int,
     q: int,
-    alg=None,
 ) -> Identity:
     """The master identity
     ``sum_i C(m,i) (a_(q+i) b)_(m+n-i) c =
@@ -247,7 +244,7 @@ def borcherds_identity_check(
     All sums are finite: positive products vanish beyond the bracket degree.
     At q = 0 this is the graded mode-commutator formula.
     """
-    table = _ProductTable(engine(alg or a.alg))
+    table = _ProductTable(engine(a.alg))
     return _borcherds_identity(table, (a, b, c), m, n, q, (str(a), str(b), str(c)))
 
 

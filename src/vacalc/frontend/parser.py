@@ -158,10 +158,9 @@ class _ExprParser:
 
     A value is a pair ``(is_element, poly)``: a polynomial in ``lambda`` whose
     coefficients are scalars or elements.  In a query, elements are states of
-    the vertex algebra (pinned centrals become vacuum multiples) and
-    ``lambda`` is reserved.  In a definition (bracket statements, ``acts``
-    clauses), elements are conformal elements with symbolic centrals, and
-    ``vac`` and normal words are rejected."""
+    the vertex algebra and ``lambda`` is reserved.  In a definition (bracket
+    statements, ``acts`` clauses), elements are conformal elements, and
+    ``vac`` and normal words are rejected.  Centrals stay symbols in both."""
 
     def __init__(self, ts: TokenStream, alg: AlgebraPresentation, query: bool):
         self.ts = ts
@@ -338,7 +337,7 @@ class _ExprParser:
         states = [poly.coefficient((0,), zero) for _, poly in factors]
         out = states[-1]
         for left in reversed(states[:-1]):
-            out = vx.normal_product(left, out, self.alg)
+            out = vx.normal_product(left, out)
         return out
 
 

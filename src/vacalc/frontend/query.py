@@ -6,12 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .. import checks, mode_algebra, vertex_calc as vx
-from ..lie_conformal import (
-    AlgebraPresentation,
-    ConformalElement,
-    VacalcError,
-    lambda_bracket,
-)
+from ..lie_conformal import AlgebraPresentation, VacalcError
 from .parser import ParseError, parse_vertex_expr
 from .render import render_ope, render_result
 
@@ -67,18 +62,6 @@ def _parse_mode_ref(text: str):
     return name, index
 
 
-def _generator_linear(v: vx.VertexElement):
-    """The conformal element of a state made of one-atom words, vacuum and
-    centrals, or None for a state with a longer word.  The vacuum brackets
-    to zero and is dropped, after a parity check that counts it as even."""
-    if any(len(word) > 1 for word in v.words):
-        return None
-    vx.engine(v.alg).element_parity(v)
-    return ConformalElement(
-        terms={word.atoms[0]: c for word, c in v.words.items()}, central=v.centrals
-    )
-
-
 def _conformal_vector(alg: AlgebraPresentation) -> vx.VertexElement:
     if alg.is_generator("L"):
         return vx.state(alg, "L")
@@ -117,15 +100,9 @@ def _run(query: Query, alg: AlgebraPresentation, fmt: str, index_range: int):
         va = parse_vertex_expr(query.args[0], alg)
         vb = parse_vertex_expr(query.args[1], alg)
         if query.kind == "ope" or fmt == "ope":
-            products = vx.vertex_jproducts(va, vb, alg)
+            products = vx.vertex_jproducts(va, vb)
             return render_ope(query.args[0], query.args[1], products), 0
-        # Brackets of generator-linear operands stay at the conformal level,
-        # where centrals print symbolically.
-        xa, xb = _generator_linear(va), _generator_linear(vb)
-        if xa is not None and xb is not None:
-            result = vx.engine(alg).check_degree(lambda_bracket(xa, xb, alg))
-        else:
-            result = vx.wick_bracket(va, vb, alg)
+        result = vx.wick_bracket(va, vb)
         return render_result(result, fmt, alg.name, str(query)), 0
 
     if query.kind == "nproduct":
@@ -135,7 +112,7 @@ def _run(query: Query, alg: AlgebraPresentation, fmt: str, index_range: int):
         except ValueError:
             raise ParseError(f"nproduct index must be an integer, got {query.args[1]!r}")
         vb = parse_vertex_expr(query.args[2], alg)
-        result = vx.nproduct(va, n, vb, alg)
+        result = vx.nproduct(va, n, vb)
         return render_result(result, fmt, alg.name, str(query)), 0
 
     if query.kind == "modes":
@@ -162,15 +139,17 @@ def _run(query: Query, alg: AlgebraPresentation, fmt: str, index_range: int):
 
     if query.kind == "weight":
         v = parse_vertex_expr(query.args[0], alg)
-        table = alg.weight_table()
-        value = vx.weight(v, table)
-        text = "inhomogeneous" if value is None else str(value)
+        value = vx.weight(v, alg.weight_table())
+        if value is not None:
+            text = str(value)
+        else:
+            text = "zero" if v.is_zero() else "inhomogeneous"
         return render_result(text, fmt, alg.name, str(query)), 0
 
     if query.kind == "primary":
         name = query.args[0]
         L = _conformal_vector(alg)
-        result = vx.primary_check(name, L, alg)
+        result = vx.primary_check(name, L)
         return render_result(str(result), fmt, alg.name, str(query)), 0
 
     raise ParseError(f"unknown query {query.kind!r}")

@@ -8,7 +8,7 @@ import re
 import sys
 from fractions import Fraction
 
-from ..lie_conformal import AlgebraPresentation, ConformalElement, VacalcError
+from ..lie_conformal import AlgebraPresentation, VacalcError
 from ..mode_algebra import ModeExpression
 from ..poly import BracketPoly
 from ..scalar import Scalar, format_sum, monomial_text
@@ -43,19 +43,14 @@ def _ope_scalar_text(value: Scalar) -> str:
     return f"({text})"
 
 
-def _pin_centrals(elem: VertexElement):
-    """Split a state into (its words and unpinned centrals, its vacuum
-    coefficient).  A state holds its pinned centrals in the vacuum already,
-    so that coefficient is the scalar part."""
-    return VertexElement(elem.alg, words=elem.words, centrals=elem.centrals), elem.vacuum
-
-
 def render_ope(a_name: str, b_name: str, products) -> str:
     """``a(z)b(w) ~ sum_j (a_(j)b)(w) / (z-w)^(j+1)``, singular part only,
     highest pole first, pinned centrals replaced by their scalars."""
     pieces = []
     for j, elem in sorted(products, reverse=True):
-        elem, scal = _pin_centrals(elem)
+        elem = elem.folded()
+        scal = elem.vacuum
+        elem = VertexElement(elem.alg, words=elem.words, centrals=elem.centrals)
         pole = "(z-w)" if j == 0 else f"(z-w)^{j + 1}"
         if not scal.is_zero():
             pieces.append(f"{_ope_scalar_text(scal)}/{pole}")
@@ -97,16 +92,6 @@ def scalar_to_json(value: Scalar):
 
 
 def element_to_json(elem):
-    if isinstance(elem, ConformalElement):
-        return {
-            "terms": [
-                {"generator": g, "dpow": d, "coeff": scalar_to_json(v)}
-                for (g, d), v in sorted(elem.terms.items())
-            ],
-            "centrals": {
-                cid: scalar_to_json(v) for cid, v in sorted(elem.central.items())
-            },
-        }
     if isinstance(elem, VertexElement):
         return {
             "words": [
@@ -160,7 +145,7 @@ def mode_to_json(expr: ModeExpression):
 def to_json_payload(result, algebra: str, query: str):
     if isinstance(result, BracketPoly):
         body = poly_to_json(result)
-    elif isinstance(result, (ConformalElement, VertexElement)):
+    elif isinstance(result, VertexElement):
         body = element_to_json(result)
     elif isinstance(result, ModeExpression):
         body = mode_to_json(result)

@@ -6,7 +6,9 @@ multiples.  Canonical words are right-nested with a fixed atom order
 (declaration index, then decreasing derivative power); reordering uses the
 mode commutator ``[a_(-1), b_(-1)] = sum_j (-1)^j (a_(j) b)_(-2-j)`` and
 repeated equal odd atoms resolve through the same identity, so equality of
-states is decidable.
+states is decidable.  A central pinned by ``acts`` stays a symbol; only
+:meth:`VertexElement.folded` reads it as that scalar times the vacuum, for
+normal products, equality and the OPE and primary renderings.
 
 The bracket recursion: a derivative on the left factor pulls out
 ``(-lambda)``; a composite right operand peels its head atom through the
@@ -87,9 +89,10 @@ def _render_atoms(atoms) -> str:
 class VertexElement(LinearCombination):
     """State of the vertex algebra attached to a presentation: canonical
     words, a vacuum multiple and central multiples.  The vacuum coefficient
-    is held as the coefficient of the empty word ``()``."""
+    is held as the coefficient of the empty word ``()``.  Equality, the hash
+    and ``is_zero`` read each pinned central as its scalar."""
 
-    __slots__ = ("alg", "words", "_vacuum", "centrals")
+    __slots__ = ("alg", "words", "_vacuum", "centrals", "_folded")
     _parts = ("words", "_vacuum", "centrals")
     _context = "alg"
 
@@ -119,6 +122,43 @@ class VertexElement(LinearCombination):
     def _require_same(self, other: "VertexElement"):
         if self.alg is not other.alg:
             raise VacalcError("cannot combine states over different presentations")
+
+    def folded(self) -> "VertexElement":
+        """This state with each pinned central ``C`` read as ``acts(C)*vac``;
+        ``self`` when it holds no central.  Memoized, like the hash."""
+        if not self.centrals:
+            return self
+        try:
+            return self._folded
+        except AttributeError:
+            pass
+        vac, unpinned = self.vacuum, {}
+        for cid, value in self.centrals.items():
+            acts = self.alg.acts_as(cid)
+            if acts is None:
+                unpinned[cid] = value
+            else:
+                vac = vac + value * acts
+        self._folded = self._build(self.words, self._nonzero({(): vac}), unpinned)
+        return self._folded
+
+    def is_zero(self) -> bool:
+        if self.words:
+            return False
+        x = self.folded()
+        return not (x._vacuum or x.centrals)
+
+    def __eq__(self, other):
+        if type(other) is VertexElement and (self.centrals or other.centrals):
+            return LinearCombination.__eq__(self.folded(), other.folded())
+        return LinearCombination.__eq__(self, other)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = LinearCombination.__hash__(self.folded())
+            return self._hash
 
     def translate(self) -> "VertexElement":
         """The translation operator T: Leibniz on words, zero on the vacuum
@@ -155,30 +195,14 @@ def vacuum(alg: AlgebraPresentation) -> VertexElement:
 
 
 def state(alg: AlgebraPresentation, name: str, dpow: int = 0) -> VertexElement:
-    """The state of a declared generator or central (pinned centrals reduce
-    to vacuum multiples)."""
-    if alg.is_generator(name):
-        return VertexElement(alg, words={NormalWord(((name, dpow),)): 1})
-    if alg.is_central(name):
-        if dpow > 0:
-            return zero(alg)
-        return from_conformal(alg, alg.gen(name))
-    raise UndeclaredSymbolError(f"undeclared symbol {name!r}")
+    """The state of a declared generator or central (``d`` kills a central)."""
+    return from_conformal(alg, alg.gen(name, dpow))
 
 
 def from_conformal(alg: AlgebraPresentation, e: ConformalElement) -> VertexElement:
-    """Embed a C[d]-module element; a central pinned by ``acts_as`` becomes
-    that scalar multiple of the vacuum."""
-    words = {NormalWord(((g, d),)): v for (g, d), v in e.terms.items()}
-    vac = Scalar.zero()
-    cents = {}
-    for cid, value in e.central.items():
-        acts = alg.acts_as(cid)
-        if acts is not None:
-            vac = vac + value * acts
-        else:
-            cents[cid] = value
-    return VertexElement(alg, words=words, vacuum=vac, centrals=cents)
+    """Embed a C[d]-module element: one-atom words and symbolic centrals."""
+    words = {NormalWord((atom,)): v for atom, v in e.terms.items()}
+    return VertexElement(alg, words=words, centrals=e.central)
 
 
 def normal_word(alg: AlgebraPresentation, atoms: Iterable) -> VertexElement:
@@ -257,12 +281,8 @@ class VertexEngine:
         return VertexElement(self.alg, words={NormalWord((atom,)): 1})
 
     def insert_atom(self, atom, y: VertexElement) -> VertexElement:
-        """Normal product of a single derivative atom with a canonical state."""
-        if y.centrals:
-            raise VacalcError(
-                "normal product with an unpinned central is undefined; pin it "
-                "with 'acts' or keep it out of products"
-            )
+        """Normal product of a single derivative atom with a canonical state
+        of words and vacuum."""
         terms = [(self._insert_atom_word(atom, word), value) for word, value in y.words.items()]
         if y._vacuum:
             terms.append((self.atom_element(atom), y.vacuum))
@@ -324,18 +344,10 @@ class VertexEngine:
             for wx, sx in sorted(x.words.items(), key=lambda kv: kv[0].atoms)
             for wy, sy in sorted(y.words.items(), key=lambda kv: kv[0].atoms)
         )
-        return self.check_degree(out)
-
-    def check_degree(self, poly: BracketPoly) -> BracketPoly:
-        """``poly``, unless its lambda degree exceeds the engine's guard."""
-        if (
-            self.max_lambda_degree is not None
-            and poly.degree("lambda") > self.max_lambda_degree
-        ):
-            raise EngineLimitError(
-                f"lambda degree exceeds guard {self.max_lambda_degree}"
-            )
-        return poly
+        limit = self.max_lambda_degree
+        if limit is not None and out.degree("lambda") > limit:
+            raise EngineLimitError(f"lambda degree exceeds guard {limit}")
+        return out
 
     def _word_bracket(self, W: NormalWord, U: NormalWord) -> BracketPoly:
         key = (W, U)
@@ -388,11 +400,15 @@ class VertexEngine:
     # -- products ------------------------------------------------------------------
 
     def normal_product(self, x: VertexElement, y: VertexElement) -> VertexElement:
+        """``:x y:``.  A pinned central acts as its scalar, ``:C y: = acts(C) y``
+        and ``:x C: = acts(C) x``; an unpinned one only against the vacuum."""
         x._require_same(y)
-        for cid in x.centrals:
-            if y.words or y.centrals:
+        if x.centrals or y.centrals:
+            x, y = x.folded(), y.folded()
+            if (x.centrals and (y.words or y.centrals)) or (y.centrals and x.words):
                 raise VacalcError(
-                    f"normal product with unpinned central {cid!r} is undefined"
+                    "normal product with an unpinned central is undefined; pin "
+                    "it with 'acts' or keep it out of products"
                 )
         # vac y = y, and x_word vac = x_word, x_central vac = x_central.
         terms = []
@@ -400,8 +416,8 @@ class VertexEngine:
             terms.append((y, x.vacuum))
         if y._vacuum:
             terms.append((x._build(x.words, {}, x.centrals), y.vacuum))
-        if y.words or y.centrals:
-            secondary = y._build(y.words, {}, y.centrals)
+        if y.words:
+            secondary = y._build(y.words, {}, {})
             terms += [
                 (self._word_product(word, secondary), value)
                 for word, value in sorted(x.words.items(), key=lambda kv: kv[0].atoms)
@@ -409,11 +425,7 @@ class VertexEngine:
         return self.zero.combine(terms)
 
     def _word_product(self, W: NormalWord, y: VertexElement) -> VertexElement:
-        """``: W y :`` for a canonical word against a vacuum-free state."""
-        if y.centrals:
-            raise VacalcError(
-                "normal product with an unpinned central is undefined"
-            )
+        """``: W y :`` for a canonical word against a state of words."""
         if len(W) == 1:
             return self.zero.combine(
                 (self._insert_atom_word(W.atoms[0], word), value)
@@ -459,59 +471,59 @@ def engine(alg: AlgebraPresentation) -> VertexEngine:
 # ---------------------------------------------------------------------------
 
 
-def wick_bracket(x: VertexElement, y: VertexElement, alg=None) -> BracketPoly:
+def wick_bracket(x: VertexElement, y: VertexElement) -> BracketPoly:
     """Full lambda-bracket on the differential algebra generated by the
     presentation, via the Wick recursion."""
-    return engine(alg or x.alg).bracket(x, y)
+    return engine(x.alg).bracket(x, y)
 
 
-def nproduct(x: VertexElement, n: int, y: VertexElement, alg=None) -> VertexElement:
+def nproduct(x: VertexElement, n: int, y: VertexElement) -> VertexElement:
     """Generalized n-th product: positive products from the bracket, negative
     products ``x_(-1-j) y = : (T^j x / j!) y :``."""
-    return engine(alg or x.alg).nproduct(x, n, y)
+    return engine(x.alg).nproduct(x, n, y)
 
 
-def normal_product(x: VertexElement, y: VertexElement, alg=None) -> VertexElement:
+def normal_product(x: VertexElement, y: VertexElement) -> VertexElement:
     """``: x y : = x_(-1) y`` in canonical form."""
-    return engine(alg or x.alg).normal_product(x, y)
+    return engine(x.alg).normal_product(x, y)
 
 
-def vertex_jproducts(x: VertexElement, y: VertexElement, alg=None):
+def vertex_jproducts(x: VertexElement, y: VertexElement):
     """Nonzero products ``x_(j) y`` (j >= 0), ascending in j."""
-    return engine(alg or x.alg).bracket(x, y).j_products()
+    return engine(x.alg).bracket(x, y).j_products()
 
 
-def quasi_comm_defect(x: VertexElement, y: VertexElement, alg=None) -> VertexElement:
+def quasi_comm_defect(x: VertexElement, y: VertexElement) -> VertexElement:
     """The quantum correction ``int_(-T)^0 [x_l y] dl``; equals
     ``:xy: - p(x,y) :yx:``.  Each bracket coefficient c_j of lambda^j
     contributes ``(-1)^j T^(j+1) c_j / (j+1)``."""
-    eng = engine(alg or x.alg)
+    eng = engine(x.alg)
     return eng.zero.combine(
         (value.translate_power(j + 1), Fraction((-1) ** j, j + 1))
         for (j,), value in eng.bracket(x, y).coeffs.items()
     )
 
 
-def quasi_assoc_rewrite(x: VertexElement, y: VertexElement, alg=None) -> VertexElement:
+def quasi_assoc_rewrite(x: VertexElement, y: VertexElement) -> VertexElement:
     """Canonical form of the left-nested product ``(x)_(-1) y``."""
-    return engine(alg or x.alg).nproduct(x, -1, y)
+    return engine(x.alg).nproduct(x, -1, y)
 
 
-def quasi_assoc_defect_sum(a, b, c, alg=None) -> VertexElement:
+def quasi_assoc_defect_sum(a, b, c) -> VertexElement:
     """Associativity defect ``(a_(-1)b)_(-1)c - a_(-1)(b_(-1)c)`` as the sum
     ``sum_j a_(-j-2)(b_(j)c) + p(a,b) sum_j b_(-j-2)(a_(j)c)``."""
-    eng = engine(alg or a.alg)
+    eng = engine(a.alg)
     terms = [(eng.nproduct(a, -2 - j, prod), 1) for j, prod in eng.bracket(b, c).j_products()]
     sign = eng.element_parity(a).sign_with(eng.element_parity(b))
     terms += [(eng.nproduct(b, -2 - j, prod), sign) for j, prod in eng.bracket(a, c).j_products()]
     return eng.zero.combine(terms)
 
 
-def quasi_assoc_defect_integral(a, b, c, alg=None) -> VertexElement:
+def quasi_assoc_defect_integral(a, b, c) -> VertexElement:
     """Same defect through the formal-integral reading: expand the bracket in
     powers of lambda, integrate ``int_0^T``, and place the resulting
     T-powers on the left factor of the (-1)-product."""
-    eng = engine(alg or a.alg)
+    eng = engine(a.alg)
 
     def contribution(left, right, sign):
         # int_0^T lambda^j dl = T^(j+1)/(j+1), applied to the left factor.
@@ -538,8 +550,10 @@ def word_weight(word: NormalWord, table: Mapping[str, Fraction]) -> Fraction:
 
 
 def weight(x: VertexElement, table: Mapping[str, Fraction]) -> Fraction | None:
-    """Common weight of a state (vacuum and centrals count as weight 0), or
-    None when the state is zero or mixes weights."""
+    """Common weight of a state (vacuum and centrals count as weight 0, a
+    pinned central as its scalar), or None when the state is zero or mixes
+    weights."""
+    x = x.folded()
     values = {word_weight(w, table) for w in x.words}
     if not x.vacuum.is_zero() or x.centrals:
         values.add(Fraction(0))
@@ -565,14 +579,14 @@ class PrimaryResult:
         return "neither"
 
 
-def primary_check(name: str, L: VertexElement, alg=None) -> PrimaryResult:
+def primary_check(name: str, L: VertexElement) -> PrimaryResult:
     """Classify a generator against a (Virasoro-type) even state L by the
-    shape of ``[L_lambda a]``: primary means exactly ``(T + D lambda) a``."""
-    eng = engine(alg or L.alg)
-    a = state(eng.alg, name)
-    poly = eng.bracket(L, a)
-    lam0 = poly.coefficient((0,), zero(eng.alg))
-    lam1 = poly.coefficient((1,), zero(eng.alg))
+    shape of ``[L_lambda a]``: primary means exactly ``(T + D lambda) a``.
+    The tail shows each pinned central as its scalar."""
+    a = state(L.alg, name)
+    poly = wick_bracket(L, a)
+    lam0 = poly.coefficient((0,), zero(L.alg))
+    lam1 = poly.coefficient((1,), zero(L.alg))
     if lam0 != a.translate():
         return PrimaryResult("neither")
     target = NormalWord(((name, 0),))
@@ -586,20 +600,19 @@ def primary_check(name: str, L: VertexElement, alg=None) -> PrimaryResult:
             return PrimaryResult("neither")
         delta = coeff.as_rational()
     tail = BracketPoly(
-        ("lambda",), {e: v for e, v in poly.coeffs.items() if e[0] >= 2}
+        ("lambda",), {e: v.folded() for e, v in poly.coeffs.items() if e[0] >= 2}
     )
     if tail.is_zero():
         return PrimaryResult("primary", delta)
     return PrimaryResult("eigen", delta, tail)
 
 
-def mode_of_primary(name: str, m, n, L: VertexElement, alg=None, table=None):
+def mode_of_primary(name: str, m, n, L: VertexElement):
     """Closed-form mode bracket with a primary generator:
     ``[L_m, a_n] = (m (D-1) - n) a_(m+n)`` in weight indexing."""
     from .mode_algebra import WEIGHT, ModeExpression, ModeSymbol
 
-    eng = engine(alg or L.alg)
-    result = primary_check(name, L, eng.alg)
+    result = primary_check(name, L)
     if result.kind != "primary":
         raise VacalcError(f"{name!r} is not primary: {result}")
     delta = result.weight

@@ -141,19 +141,19 @@ def test_criterion_04_free_superfermion_wick():
         values = {"sdim": Fraction(even - odd)}
         for g in alg.generators:
             phi = vx.state(alg, g.name)
-            assert vx.wick_bracket(phi, L, alg) == BracketPoly(
+            assert vx.wick_bracket(phi, L) == BracketPoly(
                 ("lambda",),
                 {
                     (0,): phi.translate().scale(Fraction(-1, 2)),
                     (1,): phi.scale(Fraction(1, 2)),
                 },
             )
-            assert vx.wick_bracket(L, phi, alg) == BracketPoly(
+            assert vx.wick_bracket(L, phi) == BracketPoly(
                 ("lambda",),
                 {(0,): phi.translate(), (1,): phi.scale(Fraction(1, 2))},
             )
         cubic = (sdim * Fraction(-1, 24)).substitute(values)
-        assert vx.wick_bracket(L, L, alg) == BracketPoly(
+        assert vx.wick_bracket(L, L) == BracketPoly(
             ("lambda",),
             {
                 (0,): L.translate(),
@@ -273,7 +273,7 @@ def test_criterion_07_borcherds_sweep():
                 for m in range(-3, 4):
                     for n in range(-3, 4):
                         for q in range(-3, 4):
-                            result = borcherds_identity_check(a, b, c, m, n, q, alg)
+                            result = borcherds_identity_check(a, b, c, m, n, q)
                             assert result.passed, (m, n, q)
                             checked += 1
     elapsed = time.time() - start
@@ -301,16 +301,16 @@ def test_criterion_08_quasi_identities():
         a = random_state(rng, alg)
         b = random_state(rng, alg)
         sign = eng.element_parity(a).sign_with(eng.element_parity(b))
-        direct = vx.normal_product(a, b, alg).sub(
-            vx.normal_product(b, a, alg).scale(sign)
+        direct = vx.normal_product(a, b).sub(
+            vx.normal_product(b, a).scale(sign)
         )
-        assert direct == vx.quasi_comm_defect(a, b, alg)
+        assert direct == vx.quasi_comm_defect(a, b)
     for _ in range(50):
         a = random_state(rng, alg, max_len=1)
         b = random_state(rng, alg, max_len=1)
         c = random_state(rng, alg, max_len=1)
-        assert vx.quasi_assoc_defect_sum(a, b, c, alg) == (
-            vx.quasi_assoc_defect_integral(a, b, c, alg)
+        assert vx.quasi_assoc_defect_sum(a, b, c) == (
+            vx.quasi_assoc_defect_integral(a, b, c)
         )
     report(8, "quasi-commutativity on 50 random pairs, sum = integral "
               "correction on 50 random triples")
@@ -406,7 +406,7 @@ def test_criterion_10_weight_calculus():
     assert vx.weight(L.translate(), table) == Fraction(3)
     vir = virasoro()
     assert vx.weight(vx.state(vir, "L").translate(), vir.weight_table()) == 3
-    result = vx.primary_check("psi1", L, alg)
+    result = vx.primary_check("psi1", L)
     assert result.kind == "primary" and result.weight == Fraction(1, 2)
 
     rng = rng_for("acceptance-weights")
@@ -415,7 +415,7 @@ def test_criterion_10_weight_calculus():
         b = random_state(rng, alg, max_len=1)
         wa, wb = vx.weight(a, table), vx.weight(b, table)
         for n in range(-3, 4):
-            out = vx.nproduct(a, n, b, alg)
+            out = vx.nproduct(a, n, b)
             if out.is_zero():
                 continue
             w = vx.weight(out, table)

@@ -59,12 +59,12 @@ def test_failure_lines_pinned():
 def test_failing_borcherds_identity_keeps_both_sides():
     alg = corrupt_sl2()
     e, f, h = (vx.state(alg, g) for g in "efh")
-    identity = borcherds_identity_check(e, f, h, -1, 0, 1, alg)
+    identity = borcherds_identity_check(e, f, h, -1, 0, 1)
     assert not identity.passed
     assert (str(identity.lhs), str(identity.rhs)) == ("k*h", "(1 + k)*h")
     assert identity.diff == h.scale(-1)
     assert str(identity) == "borcherds-identity at (e, f, h, m=-1, n=0, q=1): -h"
-    passing = borcherds_identity_check(e, f, h, 0, 0, 2, alg)
+    passing = borcherds_identity_check(e, f, h, 0, 0, 2)
     assert str(passing) == "borcherds-identity at (e, f, h, m=0, n=0, q=2): ok"
 
 

@@ -258,7 +258,7 @@ def test_lambda_only_in_definitions_and_words_only_in_queries(vir):
             parse_conformal_expr(text, vir)
 
 
-def test_linear_operands_bracket_at_the_conformal_level(vir):
+def test_linear_operands_bracket_like_their_generators(vir):
     expected, _ = run_query(parse_query(["bracket", "L", "L"]), vir)
     assert expected == "d(L) + 2*lambda*L + 1/12*lambda^3*C"
     for operand in (":L vac:", "L + vac", "L + C - c*vac"):
@@ -271,7 +271,7 @@ def test_lambda_degree_limit_applies_to_one_query():
     with pytest.raises(EngineLimitError):
         run_query(parse_query(["bracket", "L", ":L L:"]), alg, max_lambda_degree=2)
     L = vx.state(alg, "L")
-    assert vx.wick_bracket(L, L, alg).degree("lambda") == 3
+    assert vx.wick_bracket(L, L).degree("lambda") == 3
 
 
 def test_mode_output_writes_unit_centrals_like_generators(sl2):
@@ -500,7 +500,7 @@ def test_sweeps_report_every_failure_of_a_corrupt_table():
     states = {g: vx.state(alg, g) for g in "efh"}
     for (a, b, c), failing in CORRUPT_SL2_BORCHERDS.items():
         for m, n, q in product((-1, 0, 1), repeat=3):
-            single = borcherds_identity_check(states[a], states[b], states[c], m, n, q, alg)
+            single = borcherds_identity_check(states[a], states[b], states[c], m, n, q)
             assert single.passed == ((m, n, q) not in failing), (a, b, c, m, n, q)
 
     report = verify_mode_jacobi(alg, 1)
@@ -517,7 +517,7 @@ def test_sweeps_report_every_failure_of_a_corrupt_table():
         assert code == 1
 
 
-def test_lambda_degree_limit_covers_the_conformal_bracket(capsys):
+def test_lambda_degree_limit_covers_a_generator_bracket(capsys):
     argv = ["--builtin", "virasoro", "--max-lambda-degree", "1", "bracket", "L", "L"]
     assert main(argv) == 2
     captured = capsys.readouterr()

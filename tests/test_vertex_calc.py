@@ -3,13 +3,17 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from conftest import rng_for
+from test_cli_golden import DEFINITIONS
 from vacalc import vertex_calc as vx
 from vacalc.checks import borcherds_identity_check, borcherds_nproducts_check
+from vacalc.frontend import parse_definition
 from vacalc.lie_conformal import (
+    BUILTIN_NAMES,
     AlgebraPresentation,
     CentralDecl,
     ConformalElement,
@@ -17,7 +21,9 @@ from vacalc.lie_conformal import (
     Parity,
     ParityError,
     VacalcError,
+    builtin,
     free_fermion,
+    lambda_bracket,
     uncharged_superfermions,
     virasoro,
 )
@@ -128,19 +134,19 @@ def expected_fermion_brackets(alg):
     )
     for g in alg.generators:
         phi = vx.state(alg, g.name)
-        lhs = vx.wick_bracket(phi, L, alg)
+        lhs = vx.wick_bracket(phi, L)
         expected = BracketPoly(
             ("lambda",),
             {(0,): phi.translate().scale(Fraction(-1, 2)), (1,): phi.scale(Fraction(1, 2))},
         )
         assert lhs == expected, g.name
-        lhs = vx.wick_bracket(L, phi, alg)
+        lhs = vx.wick_bracket(L, phi)
         expected = BracketPoly(
             ("lambda",),
             {(0,): phi.translate(), (1,): phi.scale(Fraction(1, 2))},
         )
         assert lhs == expected, g.name
-    lhs = vx.wick_bracket(L, L, alg)
+    lhs = vx.wick_bracket(L, L)
     expected = BracketPoly(
         ("lambda",),
         {
@@ -238,28 +244,28 @@ def test_quasi_comm_defect_matches_direct(fermion22):
         a = random_state(rng, alg)
         b = random_state(rng, alg)
         sign = parity_of(alg, a).sign_with(parity_of(alg, b))
-        direct = vx.normal_product(a, b, alg).sub(
-            vx.normal_product(b, a, alg).scale(sign)
+        direct = vx.normal_product(a, b).sub(
+            vx.normal_product(b, a).scale(sign)
         )
-        assert direct == vx.quasi_comm_defect(a, b, alg)
+        assert direct == vx.quasi_comm_defect(a, b)
 
 
 def test_quasi_comm_defect_fermion_pair_zero(fermion2):
     # the bracket is central, so the defect integral is killed by T
     p1, p2 = vx.state(fermion2, "psi1"), vx.state(fermion2, "psi2")
-    assert vx.quasi_comm_defect(p1, p2, fermion2).is_zero()
+    assert vx.quasi_comm_defect(p1, p2).is_zero()
     assert vx.normal_product(p1, p2) == vx.normal_product(p2, p1).scale(-1)
 
 
 def test_quasi_comm_defect_virasoro_zero(vir):
     # hand evaluation: T(dL) - T^2(2L)/2 + 0 = d^2 L - d^2 L = 0
     L = vx.state(vir, "L")
-    assert vx.quasi_comm_defect(L, L, vir).is_zero()
+    assert vx.quasi_comm_defect(L, L).is_zero()
 
 
 def test_quasi_comm_defect_zero_products(weight2):
     phi, x = vx.state(weight2, "Phi"), vx.state(weight2, "X")
-    assert vx.quasi_comm_defect(phi, x, weight2).is_zero()
+    assert vx.quasi_comm_defect(phi, x).is_zero()
 
 
 # -- quasi-associativity ------------------------------------------------------------
@@ -271,8 +277,8 @@ def test_quasi_assoc_sum_equals_integral(fermion22):
         a = random_state(rng, fermion22)
         b = random_state(rng, fermion22)
         c = random_state(rng, fermion22)
-        assert vx.quasi_assoc_defect_sum(a, b, c, fermion22) == (
-            vx.quasi_assoc_defect_integral(a, b, c, fermion22)
+        assert vx.quasi_assoc_defect_sum(a, b, c) == (
+            vx.quasi_assoc_defect_integral(a, b, c)
         )
 
 
@@ -282,11 +288,9 @@ def test_quasi_assoc_defect_matches_products(fermion22):
         a = random_state(rng, fermion22, max_len=1)
         b = random_state(rng, fermion22, max_len=1)
         c = random_state(rng, fermion22, max_len=1)
-        left_nested = vx.quasi_assoc_rewrite(vx.normal_product(a, b), c, fermion22)
+        left_nested = vx.quasi_assoc_rewrite(vx.normal_product(a, b), c)
         right_nested = vx.normal_product(a, vx.normal_product(b, c))
-        assert left_nested.sub(right_nested) == vx.quasi_assoc_defect_sum(
-            a, b, c, fermion22
-        )
+        assert left_nested.sub(right_nested) == vx.quasi_assoc_defect_sum(a, b, c)
 
 
 def test_quasi_assoc_fermion_example(fermion2):
@@ -294,13 +298,13 @@ def test_quasi_assoc_fermion_example(fermion2):
     # (the inner square vanishes) plus the correction psi1_(-2)(psi2_(0)psi2)
     # = d(psi1) from the pairing <psi2, psi2> = 1
     p1, p2 = vx.state(fermion2, "psi1"), vx.state(fermion2, "psi2")
-    word = vx.normal_product(p1, p2, fermion2)
-    assert vx.quasi_assoc_rewrite(word, p2, fermion2) == p1.translate()
+    word = vx.normal_product(p1, p2)
+    assert vx.quasi_assoc_rewrite(word, p2) == p1.translate()
 
 
 def test_quasi_assoc_pure_reassociation(weight2):
     phi, x = vx.state(weight2, "Phi"), vx.state(weight2, "X")
-    assert vx.quasi_assoc_defect_sum(phi, x, phi, weight2).is_zero()
+    assert vx.quasi_assoc_defect_sum(phi, x, phi).is_zero()
     lhs = vx.nproduct(vx.normal_product(phi, x), -1, phi)
     rhs = vx.normal_product(phi, vx.normal_product(x, phi))
     assert lhs == rhs
@@ -327,7 +331,7 @@ def test_associator_supersymmetry(fermion22):
 
 def test_borcherds_nproducts_virasoro(vir):
     L = vx.state(vir, "L")
-    report = borcherds_nproducts_check(L, L, 1, vir)
+    report = borcherds_nproducts_check(L, L, 1)
     assert report.passed
     assert report.lhs == L.scale(2)
 
@@ -337,12 +341,12 @@ def test_borcherds_nproducts_negative_one_is_quasi_comm(fermion22):
     for _ in range(10):
         a = random_state(rng, fermion22)
         b = random_state(rng, fermion22)
-        assert borcherds_nproducts_check(a, b, -1, fermion22).passed
+        assert borcherds_nproducts_check(a, b, -1).passed
 
 
 def test_borcherds_nproducts_odd_zero_mode(fermion2):
     p = vx.state(fermion2, "psi1")
-    report = borcherds_nproducts_check(p, p, 0, fermion2)
+    report = borcherds_nproducts_check(p, p, 0)
     assert report.passed
     assert report.lhs == vx.vacuum(fermion2)
 
@@ -352,7 +356,7 @@ def test_borcherds_nproducts_sweep(fermion22):
     for n in range(-3, 4):
         a = random_state(rng, fermion22)
         b = random_state(rng, fermion22)
-        assert borcherds_nproducts_check(a, b, n, fermion22).passed
+        assert borcherds_nproducts_check(a, b, n).passed
 
 
 # -- Borcherds identity -----------------------------------------------------------------
@@ -360,7 +364,7 @@ def test_borcherds_nproducts_sweep(fermion22):
 
 def test_borcherds_identity_fermion_origin(fermion2):
     p1, p2 = vx.state(fermion2, "psi1"), vx.state(fermion2, "psi2")
-    report = borcherds_identity_check(p1, p2, p1, 0, 0, 0, fermion2)
+    report = borcherds_identity_check(p1, p2, p1, 0, 0, 0)
     assert report.passed
     # both sides vanish here: a_(0)b is a vacuum multiple and x_(0)|0> = 0
     assert report.lhs.is_zero() and report.rhs.is_zero()
@@ -368,12 +372,12 @@ def test_borcherds_identity_fermion_origin(fermion2):
 
 def test_borcherds_identity_virasoro(vir):
     L = vx.state(vir, "L")
-    assert borcherds_identity_check(L, L, L, 1, -1, -2, vir).passed
+    assert borcherds_identity_check(L, L, L, 1, -1, -2).passed
 
 
 def test_borcherds_identity_trivial_beyond_locality(fermion2):
     p1, p2 = vx.state(fermion2, "psi1"), vx.state(fermion2, "psi2")
-    report = borcherds_identity_check(p1, p2, p1, 0, 0, 5, fermion2)
+    report = borcherds_identity_check(p1, p2, p1, 0, 0, 5)
     assert report.passed
     assert report.lhs.is_zero()
 
@@ -388,7 +392,7 @@ def test_borcherds_identity_virasoro_ns_sweep(vir, ns):
                         for n in range(-2, 3):
                             for q in range(-2, 3):
                                 assert borcherds_identity_check(
-                                    a, b, c, m, n, q, alg
+                                    a, b, c, m, n, q
                                 ).passed, (alg.name, m, n, q)
 
 
@@ -397,17 +401,17 @@ def test_borcherds_identity_virasoro_ns_sweep(vir, ns):
 
 def vertex_jacobi_diff(a, b, c, alg):
     lhs = BracketPoly.zero(("lambda", "mu"))
-    for (k,), coeff in vx.wick_bracket(b, c, alg).coeffs.items():
-        lhs = lhs.add(embed_bivariate(vx.wick_bracket(a, coeff, alg), 0, k))
+    for (k,), coeff in vx.wick_bracket(b, c).coeffs.items():
+        lhs = lhs.add(embed_bivariate(vx.wick_bracket(a, coeff), 0, k))
     mid = BracketPoly.zero(("lambda", "mu"))
-    for (i,), coeff in vx.wick_bracket(a, b, alg).coeffs.items():
+    for (i,), coeff in vx.wick_bracket(a, b).coeffs.items():
         mid = mid.add(
-            substitute_sum(vx.wick_bracket(coeff, c, alg)).shift_power("lambda", i)
+            substitute_sum(vx.wick_bracket(coeff, c)).shift_power("lambda", i)
         )
     sign = parity_of(alg, a).sign_with(parity_of(alg, b))
     third = BracketPoly.zero(("lambda", "mu"))
-    for (k,), coeff in vx.wick_bracket(a, c, alg).coeffs.items():
-        third = third.add(embed_bivariate(vx.wick_bracket(b, coeff, alg), 1, k))
+    for (k,), coeff in vx.wick_bracket(a, c).coeffs.items():
+        third = third.add(embed_bivariate(vx.wick_bracket(b, coeff), 1, k))
     return lhs.sub(mid).sub(third.scale(sign))
 
 
@@ -437,18 +441,18 @@ def test_vacuum_laws(fermion22):
     x = random_state(rng, fermion22)
     vac = vx.vacuum(fermion22)
     for n in range(-3, 4):
-        lhs = vx.nproduct(vac, n, x, fermion22)
+        lhs = vx.nproduct(vac, n, x)
         if n == -1:
             assert lhs == x
         else:
             assert lhs.is_zero()
     for n in range(-1, 4):
-        rhs = vx.nproduct(x, n, vac, fermion22)
+        rhs = vx.nproduct(x, n, vac)
         if n == -1:
             assert rhs == x
         else:
             assert rhs.is_zero()
-    assert vx.nproduct(x, -2, vac, fermion22) == x.translate()
+    assert vx.nproduct(x, -2, vac) == x.translate()
 
 
 def test_translation_covariance(fermion22):
@@ -457,8 +461,8 @@ def test_translation_covariance(fermion22):
         x = random_state(rng, fermion22)
         y = random_state(rng, fermion22)
         for n in range(-3, 4):
-            lhs = vx.nproduct(x.translate(), n, y, fermion22)
-            rhs = vx.nproduct(x, n - 1, y, fermion22).scale(-n)
+            lhs = vx.nproduct(x.translate(), n, y)
+            rhs = vx.nproduct(x, n - 1, y).scale(-n)
             assert lhs == rhs, n
 
 
@@ -469,8 +473,8 @@ def test_quasi_symmetry_matches_skew(ns, fermion2):
             for b in gens:
                 xa, xb = vx.state(alg, a), vx.state(alg, b)
                 sign = -alg.parity(a).sign_with(alg.parity(b))
-                lhs = vx.wick_bracket(xa, xb, alg)
-                rhs = substitute_skew(vx.wick_bracket(xb, xa, alg)).scale(sign)
+                lhs = vx.wick_bracket(xa, xb)
+                rhs = substitute_skew(vx.wick_bracket(xb, xa)).scale(sign)
                 assert lhs == rhs
 
 
@@ -499,7 +503,7 @@ def test_weight_additivity(fermion2):
         if wa is None or wb is None:
             continue
         for n in range(-3, 4):
-            out = vx.nproduct(a, n, b, fermion2)
+            out = vx.nproduct(a, n, b)
             if out.is_zero():
                 continue
             w = vx.weight(out, table)
@@ -514,8 +518,8 @@ def test_dong_closure(fermion2):
     for _ in range(10):
         a, b, c = (rng.choice(pool) for _ in range(3))
         for n in range(-2, 3):
-            derived = vx.nproduct(b, n, c, fermion2)
-            poly = vx.wick_bracket(a, derived, fermion2)
+            derived = vx.nproduct(b, n, c)
+            poly = vx.wick_bracket(a, derived)
             assert poly.degree("lambda") <= 6
 
 
@@ -524,41 +528,39 @@ def test_dong_closure(fermion2):
 
 def test_primary_check_fermion(fermion2):
     L = vx.fermion_conformal_vector(fermion2)
-    result = vx.primary_check("psi1", L, fermion2)
+    result = vx.primary_check("psi1", L)
     assert result.kind == "primary" and result.weight == Fraction(1, 2)
 
 
 def test_primary_check_virasoro_self(vir):
     L = vx.state(vir, "L")
-    result = vx.primary_check("L", L, vir)
+    result = vx.primary_check("L", L)
     assert result.kind == "eigen" and result.weight == 2
     assert result.tail.degree("lambda") == 3
 
 
 def test_primary_check_inert_is_neither(weight2):
     L = vx.state(weight2, "L")
-    assert vx.primary_check("X", L, weight2).kind == "neither"
-    assert vx.primary_check("Phi", L, weight2).kind == "primary"
+    assert vx.primary_check("X", L).kind == "neither"
+    assert vx.primary_check("Phi", L).kind == "primary"
 
 
 def test_mode_of_primary(fermion2, ns, weight2):
     m, n = Scalar.param("m"), Scalar.param("n")
     L = vx.fermion_conformal_vector(fermion2)
-    out = vx.mode_of_primary("psi1", m, n, L, fermion2)
+    out = vx.mode_of_primary("psi1", m, n, L)
     coeff = m * Fraction(-1, 2) - n
     assert out == ModeExpression(terms={ModeSymbol("psi1", m + n, WEIGHT): coeff})
     # energy operator: [L_0, a_n] = -n a_n
-    out = vx.mode_of_primary("psi1", 0, n, L, fermion2)
+    out = vx.mode_of_primary("psi1", 0, n, L)
     assert out == ModeExpression(terms={ModeSymbol("psi1", n, WEIGHT): -n})
     # weight-2 primary at (m, n) = (1, -1): (1*(2-1) + 1) a_0 = 2 a_0
-    out = vx.mode_of_primary(
-        "Phi", 1, -1, vx.state(weight2, "L"), weight2
-    )
+    out = vx.mode_of_primary("Phi", 1, -1, vx.state(weight2, "L"))
     assert out == ModeExpression(
         terms={ModeSymbol("Phi", Scalar.zero(), WEIGHT): Scalar.from_rational(2)}
     )
     with pytest.raises(VacalcError):
-        vx.mode_of_primary("L", m, n, vx.state(ns, "L"), ns)
+        vx.mode_of_primary("L", m, n, vx.state(ns, "L"))
 
 
 # -- guards and errors ---------------------------------------------------------------------
@@ -589,18 +591,48 @@ def test_normal_word_hash_is_recomputed_on_unpickling():
 def test_parity_mixing_rejected(fermion2):
     mixed = vx.state(fermion2, "psi1").add(vx.vacuum(fermion2))
     with pytest.raises(ParityError):
-        vx.wick_bracket(mixed, vx.state(fermion2, "psi1"), fermion2)
+        vx.wick_bracket(mixed, vx.state(fermion2, "psi1"))
 
 
 def test_unpinned_central_products_error():
     alg = free_fermion(acts_as=None)
     k = vx.state(alg, "K")
     p = vx.state(alg, "psi1")
-    with pytest.raises(VacalcError):
-        vx.normal_product(k, p, alg)
+    for x, y in ((k, p), (p, k), (k, k)):
+        with pytest.raises(VacalcError):
+            vx.normal_product(x, y)
     # but bracket results with central components still work
-    poly = vx.wick_bracket(p, p, alg)
+    poly = vx.wick_bracket(p, p)
     assert poly == BracketPoly(
         ("lambda",), {(0,): vx.VertexElement(alg, centrals={"K": 1})}
     )
-    assert vx.quasi_comm_defect(p, vx.state(alg, "psi2"), alg).is_zero()
+    assert vx.quasi_comm_defect(p, vx.state(alg, "psi2")).is_zero()
+
+
+# -- centrals and the one bracket path -------------------------------------------------
+
+
+def test_pinned_central_stays_a_symbol_and_compares_as_its_scalar(vir):
+    C, L = vx.state(vir, "C"), vx.state(vir, "L")
+    c_vac = vx.vacuum(vir).scale(Scalar.param("c"))
+    assert str(C) == "C"
+    assert C == c_vac and hash(C) == hash(c_vac)
+    assert C.sub(c_vac).is_zero()
+    assert vx.nproduct(C, -1, L) == L.scale(Scalar.param("c"))
+    assert vx.nproduct(L, -1, C) == L.scale(Scalar.param("c"))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("superfermion",))
+def test_engine_bracket_of_atoms_is_the_table_bracket(name):
+    # Bracket queries on one-atom operands run on the engine; they must give
+    # the conformal bracket of the table, with every central still a symbol.
+    if name == "superfermion":
+        alg = parse_definition(DEFINITIONS["superfermion.vac"])
+    else:
+        alg = builtin(name)
+    gens = [g.name for g in alg.generators]
+    for a, b, i, j in product(gens, gens, range(3), range(3)):
+        engine = vx.wick_bracket(vx.state(alg, a, i), vx.state(alg, b, j))
+        table = lambda_bracket(alg.gen(a, i), alg.gen(b, j), alg)
+        expected = table.map_coeffs(lambda e: vx.from_conformal(alg, e))
+        assert engine == expected and str(engine) == str(table), (a, i, b, j)

@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement, product
 from .lie_conformal import AlgebraPresentation, ConformalElement, lambda_bracket
 from .mode_algebra import SHIFTED, ModeExpression, ModeSymbol, commute, default_indexing, mode
 from .poly import BracketPoly, embed_bivariate, substitute_skew, substitute_sum
-from .scalar import binom, factorial
+from .scalar import binom, factorial, sign_power
 from .vertex_calc import VertexElement, VertexEngine, engine, state
 
 
@@ -197,7 +197,7 @@ def borcherds_nproducts_check(a: VertexElement, b: VertexElement, n: int) -> Ide
     lhs = eng.nproduct(a, n, b)
     degree = eng.bracket(b, a).degree("lambda")
     jmax = max(0, degree - n, -n - 1)
-    sign = -eng.element_parity(a).sign_with(eng.element_parity(b)) * Fraction(-1) ** n
+    sign = -eng.element_parity(a).sign_with(eng.element_parity(b)) * sign_power(n)
     rhs = eng.zero.combine(
         (eng.nproduct(b, n + j, a).translate_power(j), Fraction(sign * (-1) ** j, factorial(j)))
         for j in range(jmax + 1)
@@ -267,7 +267,7 @@ def _borcherds_identity(table: _ProductTable, triple, m, n, q, names) -> Identit
         imax = q
     else:
         imax = max(0, table.degree(b, c) - n, table.degree(a, c) - m)
-    sign_q = Fraction(-1) ** q * eng.element_parity(a).sign_with(eng.element_parity(b))
+    sign_q = sign_power(q) * eng.element_parity(a).sign_with(eng.element_parity(b))
     terms = []
     for i in range(imax + 1):
         coeff = binom(q, i) * (-1) ** i

@@ -14,7 +14,16 @@ from fractions import Fraction
 from typing import Mapping
 
 from .poly import BracketPoly
-from .scalar import LinearCombination, Scalar, ScalarLike, binom, factorial, sparse_sum
+from .scalar import (
+    LinearCombination,
+    Scalar,
+    ScalarLike,
+    binom,
+    factorial,
+    narrow,
+    sign_power,
+    sparse_sum,
+)
 
 Z_DOMINANT = "z_dominant"
 W_DOMINANT = "w_dominant"
@@ -30,7 +39,7 @@ class NonLocalError(ValueError):
 
 
 class OneVarLaurent(LinearCombination):
-    """Finite-support Laurent polynomial ``sum_n a_n z^n`` with Scalar a_n."""
+    """Finite-support Laurent polynomial ``sum_n a_n z^n`` with exact a_n."""
 
     __slots__ = ("coeffs",)
     _parts = ("coeffs",)
@@ -51,7 +60,7 @@ class OneVarLaurent(LinearCombination):
         return cls({exp: coeff})
 
     def coefficient(self, exp: int) -> Scalar:
-        return self.coeffs.get(exp, Scalar.zero())
+        return Scalar.coerce(self.coeffs.get(exp, 0))
 
     def mul(self, other: "OneVarLaurent") -> "OneVarLaurent":
         """The product: one shifted copy of ``self`` per term of ``other``."""
@@ -64,7 +73,7 @@ class OneVarLaurent(LinearCombination):
 
     def derive(self) -> "OneVarLaurent":
         return self._build(
-            {exp - 1: value * exp for exp, value in self.coeffs.items() if exp != 0}
+            {exp - 1: narrow(value * exp) for exp, value in self.coeffs.items() if exp != 0}
         )
 
     def to_json(self):
@@ -109,8 +118,8 @@ class TruncatedSeries:
     def build(cls, coeffs: Mapping[tuple, ScalarLike], trunc_var=None, order=None):
         clean = []
         for (ze, we), value in coeffs.items():
-            value = Scalar.coerce(value)
-            if not value.is_zero():
+            value = narrow(value)
+            if type(value) is Scalar or value:
                 clean.append(((ze, we), value))
         return cls(tuple(sorted(clean)), trunc_var, order)
 
@@ -118,7 +127,7 @@ class TruncatedSeries:
         return dict(self.coeffs)
 
     def coefficient(self, ze: int, we: int) -> Scalar:
-        return self.coeff_map().get((ze, we), Scalar.zero())
+        return Scalar.coerce(self.coeff_map().get((ze, we), 0))
 
     def is_total(self) -> bool:
         return self.trunc_var is None
@@ -192,19 +201,13 @@ def expand_power(k: int, orientation: str, order: int) -> TruncatedSeries:
     if order < 1:
         raise ValueError("expansion order must be positive")
     if k >= 0:
-        coeffs = {
-            (k - j, j): binom(k, j) * Fraction(-1) ** j for j in range(k + 1)
-        }
+        coeffs = {(k - j, j): binom(k, j) * sign_power(j) for j in range(k + 1)}
         return TruncatedSeries.build(coeffs)
     if orientation == Z_DOMINANT:
-        coeffs = {
-            (k - j, j): binom(k, j) * Fraction(-1) ** j for j in range(order)
-        }
+        coeffs = {(k - j, j): binom(k, j) * sign_power(j) for j in range(order)}
         return TruncatedSeries.build(coeffs, trunc_var="w", order=order)
     if orientation == W_DOMINANT:
-        coeffs = {
-            (j, k - j): binom(k, j) * Fraction(-1) ** (k - j) for j in range(order)
-        }
+        coeffs = {(j, k - j): binom(k, j) * sign_power(k - j) for j in range(order)}
         return TruncatedSeries.build(coeffs, trunc_var="z", order=order)
     raise ValueError(f"unknown orientation {orientation!r}")
 
@@ -287,7 +290,7 @@ def mul_zw_power(a: TwoVarDistribution, m: int) -> TwoVarDistribution:
     reg = sparse_sum(
         (
             {(ze + i, we + m - i): value for (ze, we), value in a.regular.items()},
-            binom(m, i) * Fraction(-1) ** (m - i),
+            binom(m, i) * sign_power(m - i),
         )
         for i in shifts
     )
@@ -304,12 +307,12 @@ def derive(a: TwoVarDistribution, var: str) -> TwoVarDistribution:
         derived = ((j, c.derive()) for j, c in a.singular.items())
         lowered = {j: c for j, c in derived if not c.is_zero()}
         raised = {j + 1: c.scale(j + 1) for j, c in a.singular.items()}
-        reg = {(ze, we - 1): value * we for (ze, we), value in a.regular.items() if we != 0}
+        reg = {(ze, we - 1): narrow(value * we) for (ze, we), value in a.regular.items() if we != 0}
         return a._build(sparse_sum(((lowered, 1), (raised, 1))), reg)
     if var == "z":
         # d_z (c_j d_w^j delta / j!) = -(j+1) c_j d_w^(j+1) delta / (j+1)!
         sing = {j + 1: c.scale(-(j + 1)) for j, c in a.singular.items()}
-        reg = {(ze - 1, we): value * ze for (ze, we), value in a.regular.items() if ze != 0}
+        reg = {(ze - 1, we): narrow(value * ze) for (ze, we), value in a.regular.items() if ze != 0}
         return a._build(sing, reg)
     raise ValueError(f"unknown variable {var!r}")
 
@@ -361,7 +364,7 @@ def swap_zw(a: TwoVarDistribution) -> TwoVarDistribution:
     """
     out = a._build({}, {(n, m): v for (m, n), v in a.regular.items()})
     return out.combine(
-        (mul_one_var(delta_ladder(j), c, "z"), Fraction(-1) ** j)
+        (mul_one_var(delta_ladder(j), c, "z"), sign_power(j))
         for j, c in a.singular.items()
     )
 
@@ -403,11 +406,7 @@ def fourier_two(
         i = -1 - ze  # power of (z-w) needed to reach z^(-1)
         series = {}
         for k in range(i, order):
-            coeff = (
-                binom(k, i)
-                * Fraction(-1) ** (k - i)
-                * Fraction(1, factorial(k))
-            )
+            coeff = Fraction(binom(k, i) * sign_power(k - i), factorial(k))
             series[(k,)] = OneVarLaurent.monomial(k - i + we, value * coeff)
         terms.append((series, 1))
     return BracketPoly((var,), sparse_sum(terms))

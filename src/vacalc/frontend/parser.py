@@ -223,19 +223,19 @@ class _ExprParser:
                 value = (value[0], _times(value[1], other[1]))
             elif self.ts.accept("SYM", "/"):
                 is_element, divisor = self.factor()
-                const = divisor.coefficient((0,), Scalar.zero())
+                const = divisor.coefficient((0,), 0)
                 if (
                     is_element
                     or divisor.degree("lambda") > 0
-                    or not const.is_constant()
-                    or const.is_zero()
+                    or isinstance(const, Scalar)
+                    or not const
                 ):
                     raise ParseError(
                         "division is only defined by nonzero rational constants",
                         tok.line,
                         tok.col,
                     )
-                value = (value[0], value[1].scale(Fraction(1) / const.as_rational()))
+                value = (value[0], value[1].scale(Fraction(1, const)))
             else:
                 return value
 
@@ -247,7 +247,7 @@ class _ExprParser:
                 raise ParseError(
                     f"powers of {self.noun}s are not defined", tok.line, tok.col
                 )
-            power = BracketPoly.constant(Scalar.one())
+            power = BracketPoly.constant(1)
             for _ in range(int(tok.text)):
                 power = _times(power, value[1])
             value = (False, power)
@@ -257,7 +257,7 @@ class _ExprParser:
         tok = self.ts.peek()
         if tok.kind == "INT":
             self.ts.next()
-            return False, BracketPoly.constant(Scalar.from_rational(int(tok.text)))
+            return False, BracketPoly.constant(int(tok.text))
         if self.ts.accept("SYM", "("):
             value = self._nested(tok, self.expr)
             self.ts.expect("SYM", ")")
@@ -270,7 +270,7 @@ class _ExprParser:
             if name == "lambda":
                 if self.query:
                     raise ParseError("lambda is reserved", tok.line, tok.col)
-                return False, BracketPoly(("lambda",), {(1,): Scalar.one()})
+                return False, BracketPoly(("lambda",), {(1,): 1})
             if name == "vac":
                 self._require_query(tok, "vac")
                 return True, BracketPoly.constant(vx.vacuum(self.alg))
@@ -356,7 +356,7 @@ def parse_vertex_expr(text: str, alg: AlgebraPresentation) -> vx.VertexElement:
     is_element, poly = _parse(TokenStream(text), alg, query=True)
     if is_element:
         return poly.coefficient((0,), vx.zero(alg))
-    return vx.vacuum(alg).scale(poly.coefficient((0,), Scalar.zero()))
+    return vx.vacuum(alg).scale(poly.coefficient((0,), 0))
 
 
 def _conformal_expr(ts: TokenStream, alg: AlgebraPresentation, stop=None) -> BracketPoly:
@@ -379,7 +379,7 @@ def _conformal_scalar(ts: TokenStream, alg: AlgebraPresentation, stop=None) -> S
     is_element, poly = _parse(ts, alg, False, stop)
     if is_element or poly.degree("lambda") > 0:
         raise ParseError("expected a scalar expression", tok.line, tok.col)
-    return poly.coefficient((0,), Scalar.zero())
+    return Scalar.coerce(poly.coefficient((0,), 0))
 
 
 # ---------------------------------------------------------------------------

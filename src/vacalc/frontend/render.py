@@ -22,9 +22,9 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
-def _ope_scalar_text(value: Scalar) -> str:
+def _ope_scalar_text(value) -> str:
     """Scalars in the OPE read like c/2: numerator monomials over denominator."""
-    terms = list(value.terms())
+    terms = list(Scalar.coerce(value).terms())
     if len(terms) != 1:
         return f"({str(value)})"
     mono, coeff = terms[0]
@@ -84,10 +84,11 @@ def render_latex(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-def scalar_to_json(value: Scalar):
+def scalar_to_json(value):
+    """A number or Scalar as its list of monomial terms."""
     return [
         {"monomial": {name: exp for name, exp in mono}, "coeff": str(coeff)}
-        for mono, coeff in value.terms()
+        for mono, coeff in Scalar.coerce(value).terms()
     ]
 
 
@@ -108,7 +109,7 @@ def element_to_json(elem):
                 cid: scalar_to_json(v) for cid, v in sorted(elem.centrals.items())
             },
         }
-    if isinstance(elem, Scalar):
+    if isinstance(elem, (int, Fraction, Scalar)):
         return scalar_to_json(elem)
     raise TypeError(f"cannot serialize {type(elem).__name__}")
 

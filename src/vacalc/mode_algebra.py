@@ -14,7 +14,6 @@ as vanishing (the generic-index regime).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .lie_conformal import (
     AlgebraPresentation,
@@ -84,14 +83,14 @@ class ModeExpression(LinearCombination):
             yield cid, self.central[cid]
 
 
-def _kron_delta(x: Scalar) -> Fraction:
+def _kron_delta(x: Scalar) -> int:
     """Kronecker delta of an exact index expression.
 
     Identically zero gives 1.  Any other polynomial gives 0: for constants
     this is exact; for symbolic indices it is the generic-index value (the
     coincident case is recovered by substituting the slice explicitly).
     """
-    return Fraction(1) if x.is_zero() else Fraction(0)
+    return 1 if x.is_zero() else 0
 
 
 def _check_weight_index(alg: AlgebraPresentation, gen: str, index: Scalar):
@@ -123,7 +122,7 @@ def normalize_derivative_mode(
         if k > 0:
             return ModeExpression.zero()
         return ModeExpression(central={gen: _kron_delta(n + Scalar.from_rational(1))})
-    coeff = binom(n, k) * Fraction(-1) ** k * factorial(k)
+    coeff = binom(n, k) * (-1) ** k * factorial(k)
     return ModeExpression(terms={ModeSymbol(gen, n - Scalar.from_rational(k)): coeff})
 
 

@@ -1,10 +1,10 @@
 """Polynomials in formal bracket variables (lambda, mu, ...).
 
 A :class:`BracketPoly` stores, for each exponent vector, a coefficient living
-in an additive module: a :class:`~vacalc.scalar.Scalar`, a one-variable
-Laurent polynomial, an element of a C[d]-module presentation, or a vertex
-element.  Coefficients must support ``+``, ``*`` by a scalar and ``is_zero``;
-substitution of ``lambda -> -lambda - d`` additionally needs ``translate``.
+in an additive module: a number or :class:`~vacalc.scalar.Scalar` (kept in
+its ``narrow`` form), a one-variable Laurent polynomial, an element of a
+C[d]-module presentation, or a vertex element.  Substitution of
+``lambda -> -lambda - d`` additionally needs ``translate``.
 """
 
 from __future__ import annotations
@@ -14,14 +14,20 @@ from typing import Callable, Iterable
 
 from .scalar import (
     LinearCombination,
-    Scalar,
     binom,
     factorial,
     format_sum,
     monomial_text,
+    narrow,
     signed_term,
     sparse_sum,
 )
+
+
+def _coefficient(x):
+    """A number or Scalar coefficient in its narrow form; an element or
+    Laurent polynomial coefficient as it is."""
+    return x if isinstance(x, LinearCombination) else narrow(x)
 
 
 class BracketPoly(LinearCombination):
@@ -31,7 +37,7 @@ class BracketPoly(LinearCombination):
 
     def __init__(self, variables, coeffs=None):
         self.variables = tuple(variables)
-        self.coeffs = self._nonzero(coeffs, key=self._exponents, coerce=None)
+        self.coeffs = self._nonzero(coeffs, key=self._exponents, coerce=_coefficient)
 
     def _exponents(self, exps) -> tuple:
         exps = tuple(exps)
@@ -96,10 +102,10 @@ class BracketPoly(LinearCombination):
         terms = []
         for exps, value in self.terms():
             lam = monomial_text((name, k) for name, k in zip(self.variables, exps) if k)
-            if isinstance(value, Scalar):
-                terms.append(signed_term(value, lam))
-            else:
+            if isinstance(value, LinearCombination):
                 terms.extend(value.sum_terms(lam))
+            else:
+                terms.append(signed_term(value, lam))
         return format_sum(terms)
 
     def __repr__(self):

@@ -7,6 +7,7 @@ immutable; equality is structural equality of canonical forms.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -204,9 +205,6 @@ class Scalar:
 
 ScalarLike = Union[int, Fraction, Scalar]
 
-ZERO = Scalar.zero()
-ONE = Scalar.one()
-
 
 # ---------------------------------------------------------------------------
 # Sums as text: the one formatter of ``c*x + ...`` for every printed sum
@@ -249,23 +247,63 @@ def format_sum(terms) -> str:
 # Sparse linear combinations: the module arithmetic over Scalar
 # ---------------------------------------------------------------------------
 
+
+def narrow(x):
+    """The narrowest exact form of a coefficient: an int, else a Fraction
+    with a denominator other than 1, else a Scalar holding a parameter.  A
+    zero Scalar becomes ``0``; a float, a bool or any other type raises
+    TypeError, so no inexact value enters a combination."""
+    t = type(x)
+    if t is int:
+        return x
+    if t is Fraction:
+        return x._numerator if x._denominator == 1 else x
+    if t is Scalar:
+        terms = x._terms
+        if not terms:
+            return 0
+        if len(terms) == 1 and () in terms:
+            return narrow(terms[()])
+        return x
+    raise TypeError(f"expected an int, Fraction or Scalar coefficient, got {t.__name__}")
+
+
+def _reduced(x):
+    """A coefficient in its narrowest form, or None when it is zero.
+    Numbers and Scalars narrow; a combination is tested with ``is_zero``."""
+    t = type(x)
+    if t is int:
+        return x if x else None
+    if t is Fraction:
+        return x if x._denominator != 1 else (x._numerator or None)
+    if t is Scalar:
+        x = narrow(x)
+        return x if type(x) is Scalar or x else None
+    return None if x.is_zero() else x
+
+
 _ZERO_FACTOR = Fraction(0)
 
 
 def _factor(c):
-    """A scale factor in its cheapest exact form: None for exactly 1,
-    ``_ZERO_FACTOR`` for zero, a Fraction for any other rational constant and
-    the Scalar itself otherwise."""
-    if type(c) is Scalar:
-        terms = c._terms
-        if len(terms) != 1 or () not in terms:
-            return c if terms else _ZERO_FACTOR
-        c = terms[()]
-    if c == 1:
-        return None
-    if not c:
-        return _ZERO_FACTOR
-    return _as_fraction(c)
+    """A scale factor in its narrowest form: None for exactly 1,
+    ``_ZERO_FACTOR`` for zero, else the narrowed number or Scalar."""
+    c = narrow(c)
+    if type(c) is int:
+        if c == 1:
+            return None
+        if not c:
+            return _ZERO_FACTOR
+    return c
+
+
+def _scaled(value, f):
+    """``value * f`` for a coefficient and a factor from :func:`_factor`;
+    neither is zero, so neither is the product."""
+    value = value * f
+    if type(value) is Fraction and value._denominator == 1:
+        return value._numerator
+    return value
 
 
 def _accumulate(acc: dict, part: Mapping, f) -> None:
@@ -274,13 +312,13 @@ def _accumulate(acc: dict, part: Mapping, f) -> None:
     get = acc.get
     for key, value in part.items():
         if f is not None:
-            value = value * f
+            value = _scaled(value, f)
         old = get(key)
         if old is None:
             acc[key] = value
         else:
-            value = old + value
-            if value.is_zero():
+            value = _reduced(old + value)
+            if value is None:
                 del acc[key]
             else:
                 acc[key] = value
@@ -304,10 +342,13 @@ class LinearCombination:
     A subclass lists in ``_parts`` the slots holding its coefficients, each a
     dict from basis keys to nonzero coefficients, and may name in
     ``_context`` one more slot (the presentation, the bracket variables) that
-    operands must share and results inherit.  Coefficients are Scalars or
-    values of another combination type: they need ``+``, ``*`` by a scale
-    factor and ``is_zero``.  Values are immutable; every operation builds
-    fresh dicts, so caches may hand the same object to every caller.
+    operands must share and results inherit.  A coefficient is a number or
+    Scalar in its :func:`narrow` form (an int, a non-integral Fraction or a
+    Scalar holding a parameter), so equal values have equal parts and equal
+    hashes; or it is a value of another combination type, which needs ``+``,
+    ``*`` by a scale factor and ``is_zero``.  Values are immutable; every
+    operation builds fresh dicts, so caches may hand the same object to
+    every caller.
     """
 
     __slots__ = ("_hash",)
@@ -315,7 +356,7 @@ class LinearCombination:
     _context: str | None = None
 
     @staticmethod
-    def _nonzero(mapping, key=None, coerce=Scalar.coerce) -> dict:
+    def _nonzero(mapping, key=None, coerce=narrow) -> dict:
         """The entries of ``mapping`` (a dict or pairs) whose value, after
         ``coerce``, is nonzero; ``key`` normalizes and validates each key."""
         out = {}
@@ -325,7 +366,8 @@ class LinearCombination:
                     k = key(k)
                 if coerce is not None:
                     v = coerce(v)
-                if not v.is_zero():
+                v = _reduced(v)
+                if v is not None:
                     out[k] = v
         return out
 
@@ -388,7 +430,7 @@ class LinearCombination:
             return self._build(*({} for _ in self._parts))
         # Coefficients lie in integral domains, so none of the products is zero.
         return self._build(
-            *({k: v * f for k, v in getattr(self, name).items()} for name in self._parts)
+            *({k: _scaled(v, f) for k, v in getattr(self, name).items()} for name in self._parts)
         )
 
     # A combination may be the coefficient of another (BracketPoly over
@@ -451,8 +493,10 @@ def binom(j, n: int):
     """Extended binomial coefficient prod_{k=1..n} (j-k+1)/k, with value 1 at n=0.
 
     The upper argument may be any integer, Fraction, or Scalar (for symbolic
-    mode indices); the lower argument must be a non-negative integer.  Returns
-    a Fraction for numeric input and a Scalar for symbolic input.
+    mode indices); the lower argument must be a non-negative integer.  An
+    integral upper argument gives an int, ``C(n-j-1, n)`` up to the sign
+    ``(-1)^n`` when it is negative; any other number gives a Fraction, and
+    a Scalar holding a parameter gives a Scalar.
     """
     if not isinstance(n, int):
         raise ValueError(f"lower binomial argument must be an integer, got {n!r}")
@@ -465,6 +509,12 @@ def binom(j, n: int):
         for k in range(1, n + 1):
             acc = acc * (j - Scalar.from_rational(k - 1)) / k
         return acc
+    if isinstance(j, Fraction) and j.denominator == 1:
+        j = j.numerator
+    if isinstance(j, int):
+        if j >= 0:
+            return math.comb(j, n)
+        return sign_power(n) * math.comb(n - j - 1, n)
     q = _as_fraction(j)
     acc = Fraction(1)
     for k in range(1, n + 1):
@@ -472,8 +522,12 @@ def binom(j, n: int):
     return acc
 
 
+def sign_power(j: int) -> int:
+    """``(-1)^j`` as an int, for any integer j (``(-1) ** j`` is a float
+    when j is negative)."""
+    return -1 if j % 2 else 1
+
+
 def factorial(n: int) -> int:
-    acc = 1
-    for k in range(2, n + 1):
-        acc *= k
-    return acc
+    """``n!``, and 1 for every n below 2."""
+    return math.factorial(n) if n >= 2 else 1

@@ -35,7 +35,7 @@ from .lie_conformal import (
     lambda_bracket,
 )
 from .poly import BracketPoly, integrate_zero_to_lambda, substitute_skew
-from .scalar import ZERO, LinearCombination, Scalar, factorial
+from .scalar import LinearCombination, Scalar, factorial, sign_power
 
 DEFAULT_MAX_LAMBDA_DEGREE = 64
 
@@ -117,7 +117,7 @@ class VertexElement(LinearCombination):
 
     @property
     def vacuum(self) -> Scalar:
-        return self._vacuum.get((), ZERO)
+        return Scalar.coerce(self._vacuum.get((), 0))
 
     def _require_same(self, other: "VertexElement"):
         if self.alg is not other.alg:
@@ -132,7 +132,7 @@ class VertexElement(LinearCombination):
             return self._folded
         except AttributeError:
             pass
-        vac, unpinned = self.vacuum, {}
+        vac, unpinned = self._vacuum.get((), 0), {}
         for cid, value in self.centrals.items():
             acts = self.alg.acts_as(cid)
             if acts is None:
@@ -178,7 +178,7 @@ class VertexElement(LinearCombination):
         for word in sorted(self.words, key=lambda w: (len(w), w.atoms)):
             yield str(word), self.words[word]
         if self._vacuum:
-            yield "vac", self.vacuum
+            yield "vac", self._vacuum[()]
         for cid in sorted(self.centrals):
             yield cid, self.centrals[cid]
 
@@ -242,7 +242,7 @@ class VertexEngine:
 
     def element_parity(self, x: VertexElement) -> Parity:
         parities = {self.word_parity(w) for w in x.words}
-        if not x.vacuum.is_zero():
+        if x._vacuum:
             parities.add(Parity.EVEN)
         for cid in x.centrals:
             parities.add(self.alg.parity(cid))
@@ -285,7 +285,7 @@ class VertexEngine:
         of words and vacuum."""
         terms = [(self._insert_atom_word(atom, word), value) for word, value in y.words.items()]
         if y._vacuum:
-            terms.append((self.atom_element(atom), y.vacuum))
+            terms.append((self.atom_element(atom), y._vacuum[()]))
         return self.zero.combine(terms)
 
     def _insert_atom_word(self, atom, word: NormalWord) -> VertexElement:
@@ -357,7 +357,7 @@ class VertexEngine:
         g, d = W.atoms[0]
         if len(W) == 1 and d > 0:
             base = self._word_bracket(NormalWord(((g, 0),)), U)
-            result = base.shift_power("lambda", d).scale(Fraction(-1) ** d)
+            result = base.shift_power("lambda", d).scale(sign_power(d))
         elif len(W) == 1 and len(U) == 1:
             h, e = U.atoms[0]
             conf = lambda_bracket(self.alg.gen(g), self.alg.gen(h, e), self.alg)
@@ -413,9 +413,9 @@ class VertexEngine:
         # vac y = y, and x_word vac = x_word, x_central vac = x_central.
         terms = []
         if x._vacuum:
-            terms.append((y, x.vacuum))
+            terms.append((y, x._vacuum[()]))
         if y._vacuum:
-            terms.append((x._build(x.words, {}, x.centrals), y.vacuum))
+            terms.append((x._build(x.words, {}, x.centrals), y._vacuum[()]))
         if y.words:
             secondary = y._build(y.words, {}, {})
             terms += [
@@ -555,7 +555,7 @@ def weight(x: VertexElement, table: Mapping[str, Fraction]) -> Fraction | None:
     weights."""
     x = x.folded()
     values = {word_weight(w, table) for w in x.words}
-    if not x.vacuum.is_zero() or x.centrals:
+    if x._vacuum or x.centrals:
         values.add(Fraction(0))
     if len(values) == 1:
         return values.pop()
@@ -593,12 +593,12 @@ def primary_check(name: str, L: VertexElement) -> PrimaryResult:
     if lam1.is_zero():
         delta = Fraction(0)
     else:
-        if set(lam1.words) != {target} or not lam1.vacuum.is_zero() or lam1.centrals:
+        if set(lam1.words) != {target} or lam1._vacuum or lam1.centrals:
             return PrimaryResult("neither")
         coeff = lam1.words[target]
-        if not coeff.is_constant():
+        if isinstance(coeff, Scalar):
             return PrimaryResult("neither")
-        delta = coeff.as_rational()
+        delta = Fraction(coeff)
     tail = BracketPoly(
         ("lambda",), {e: v.folded() for e, v in poly.coeffs.items() if e[0] >= 2}
     )

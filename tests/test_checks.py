@@ -14,7 +14,7 @@ from vacalc.checks import (
     check_skew,
     verify_mode_jacobi,
 )
-from vacalc.lie_conformal import ConformalElement
+from vacalc.lie_conformal import BUILTIN_NAMES, ConformalElement, builtin
 from vacalc.poly import BracketPoly
 from vacalc.scalar import Scalar
 
@@ -38,6 +38,14 @@ def test_every_failure_prints_as_one_line(make, check):
         where = ", ".join(failure.subject)
         assert line == f"  {failure.kind} at ({where}): {failure.diff}"
         assert not failure.passed
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtins_satisfy_the_axioms(name):
+    # builtin() skips validation: this is where its tables are proven.
+    alg = builtin(name)
+    for report in (check_skew(alg), check_jacobi(alg), borcherds_sweep(alg, 1)):
+        assert report.passed and report.checked, str(report)
 
 
 def test_failure_lines_pinned():

@@ -13,7 +13,7 @@ from fractions import Fraction
 from conftest import rng_for
 from vacalc import vertex_calc as vx
 from vacalc.lie_conformal import uncharged_superfermions
-from vacalc.scalar import binom, factorial
+from vacalc.scalar import Scalar, binom, factorial
 
 ALG = uncharged_superfermions(0, 2)
 GENS = [g.name for g in ALG.generators]
@@ -144,7 +144,7 @@ def apply_element_mode(x, n, state):
     out = {}
     for word, coeff in x.words.items():
         for m, c in apply_word_mode(list(word.atoms), n, state).items():
-            add_into(out, m, c * coeff.as_rational())
+            add_into(out, m, c * Scalar.coerce(coeff).as_rational())
     if not x.vacuum.is_zero() and n == -1:
         for m, c in state.items():
             add_into(out, m, c * x.vacuum.as_rational())
@@ -164,7 +164,7 @@ def to_fock(x):
         for atom in reversed(word.atoms):
             state = apply_atom_mode(atom, -1, state)
         for m, c in state.items():
-            add_into(out, m, c * coeff.as_rational())
+            add_into(out, m, c * Scalar.coerce(coeff).as_rational())
     if not x.vacuum.is_zero():
         add_into(out, (), x.vacuum.as_rational())
     return out

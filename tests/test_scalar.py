@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_scalar, rng_for
-from vacalc.scalar import Scalar, binom, factorial
+from vacalc.scalar import Scalar, binom, factorial, narrow
 
 
 def test_binom_ordinary():
@@ -38,6 +38,31 @@ def test_binom_symbolic_upper_is_polynomial():
     assert poly == expected
     # constant Scalar falls back to the numeric value
     assert binom(Scalar.from_rational(5), 2) == 10
+
+
+def _product_binom(j, n):
+    acc = Fraction(1)
+    for k in range(1, n + 1):
+        acc = acc * (j - k + 1) / k
+    return acc
+
+
+def test_binom_matches_the_product_formula():
+    for j in range(-30, 31):
+        for n in range(31):
+            value = binom(j, n)
+            assert type(value) is int, (j, n)
+            assert value == _product_binom(Fraction(j), n), (j, n)
+    for j in (Fraction(1, 2), Fraction(-1, 2), Fraction(7, 3)):
+        for n in range(31):
+            assert binom(j, n) == _product_binom(j, n), (j, n)
+    # A symbolic upper argument gives the polynomial that takes the same
+    # values at every integer.
+    m = Scalar.param("m")
+    for n in range(8):
+        poly = binom(m, n)
+        for j in range(-5, 6):
+            assert poly.substitute({"m": j}) == _product_binom(Fraction(j), n), (j, n)
 
 
 def test_binom_rejects_negative_lower():
@@ -113,3 +138,27 @@ def test_scalar_division_restrictions():
 
 def test_factorial():
     assert [factorial(n) for n in range(6)] == [1, 1, 2, 6, 24, 120]
+    assert factorial(-3) == 1
+    acc = 1
+    for n in range(1, 40):
+        acc *= n
+        assert factorial(n) == acc
+
+
+def test_narrow_gives_the_narrowest_exact_type():
+    c = Scalar.param("c")
+    cases = [
+        (2, 2, int),
+        (Fraction(6, 3), 2, int),
+        (Fraction(1, 2), Fraction(1, 2), Fraction),
+        (Scalar.from_rational(-3), -3, int),
+        (Scalar.from_rational(Fraction(1, 12)), Fraction(1, 12), Fraction),
+        (Scalar.zero(), 0, int),
+        (c + 1, c + 1, Scalar),
+    ]
+    for value, expected, kind in cases:
+        out = narrow(value)
+        assert type(out) is kind and out == expected, value
+    for inexact in (0.5, True, "1", None):
+        with pytest.raises(TypeError):
+            narrow(inexact)

@@ -18,9 +18,9 @@ from .scalar import (
     LinearCombination,
     Scalar,
     ScalarLike,
+    _reduced,
     binom,
     factorial,
-    narrow,
     sign_power,
     sparse_sum,
 )
@@ -73,7 +73,7 @@ class OneVarLaurent(LinearCombination):
 
     def derive(self) -> "OneVarLaurent":
         return self._build(
-            {exp - 1: narrow(value * exp) for exp, value in self.coeffs.items() if exp != 0}
+            {exp - 1: _reduced(value * exp) for exp, value in self.coeffs.items() if exp != 0}
         )
 
     def to_json(self):
@@ -118,8 +118,8 @@ class TruncatedSeries:
     def build(cls, coeffs: Mapping[tuple, ScalarLike], trunc_var=None, order=None):
         clean = []
         for (ze, we), value in coeffs.items():
-            value = narrow(value)
-            if type(value) is Scalar or value:
+            value = _reduced(value)
+            if value is not None:
                 clean.append(((ze, we), value))
         return cls(tuple(sorted(clean)), trunc_var, order)
 
@@ -228,7 +228,7 @@ class TwoVarDistribution(LinearCombination):
     _parts = ("singular", "regular")
 
     def __init__(self, singular=None, regular=None):
-        self.singular = self._nonzero(singular, key=_ladder_index, coerce=None)
+        self.singular = self._nonzero(singular, key=_ladder_index)
         self.regular = self._nonzero(regular, key=lambda key: (int(key[0]), int(key[1])))
 
     @classmethod
@@ -307,12 +307,12 @@ def derive(a: TwoVarDistribution, var: str) -> TwoVarDistribution:
         derived = ((j, c.derive()) for j, c in a.singular.items())
         lowered = {j: c for j, c in derived if not c.is_zero()}
         raised = {j + 1: c.scale(j + 1) for j, c in a.singular.items()}
-        reg = {(ze, we - 1): narrow(value * we) for (ze, we), value in a.regular.items() if we != 0}
+        reg = {(ze, we - 1): _reduced(value * we) for (ze, we), value in a.regular.items() if we != 0}
         return a._build(sparse_sum(((lowered, 1), (raised, 1))), reg)
     if var == "z":
         # d_z (c_j d_w^j delta / j!) = -(j+1) c_j d_w^(j+1) delta / (j+1)!
         sing = {j + 1: c.scale(-(j + 1)) for j, c in a.singular.items()}
-        reg = {(ze - 1, we): narrow(value * ze) for (ze, we), value in a.regular.items() if ze != 0}
+        reg = {(ze - 1, we): _reduced(value * ze) for (ze, we), value in a.regular.items() if ze != 0}
         return a._build(sing, reg)
     raise ValueError(f"unknown variable {var!r}")
 

@@ -18,16 +18,9 @@ from .scalar import (
     factorial,
     format_sum,
     monomial_text,
-    narrow,
     signed_term,
     sparse_sum,
 )
-
-
-def _coefficient(x):
-    """A number or Scalar coefficient in its narrow form; an element or
-    Laurent polynomial coefficient as it is."""
-    return x if isinstance(x, LinearCombination) else narrow(x)
 
 
 class BracketPoly(LinearCombination):
@@ -37,7 +30,7 @@ class BracketPoly(LinearCombination):
 
     def __init__(self, variables, coeffs=None):
         self.variables = tuple(variables)
-        self.coeffs = self._nonzero(coeffs, key=self._exponents, coerce=_coefficient)
+        self.coeffs = self._nonzero(coeffs, key=self._exponents)
 
     def _exponents(self, exps) -> tuple:
         exps = tuple(exps)

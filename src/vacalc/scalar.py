@@ -248,38 +248,32 @@ def format_sum(terms) -> str:
 # ---------------------------------------------------------------------------
 
 
-def narrow(x):
-    """The narrowest exact form of a coefficient: an int, else a Fraction
-    with a denominator other than 1, else a Scalar holding a parameter.  A
-    zero Scalar becomes ``0``; a float, a bool or any other type raises
+def _reduced(x):
+    """A coefficient in its narrowest exact form, or None when it is zero:
+    an int, else a Fraction with a denominator other than 1, else a Scalar
+    holding a parameter.  A combination (the coefficient of another
+    combination) stays as it is.  A float, a bool or any other type raises
     TypeError, so no inexact value enters a combination."""
     t = type(x)
     if t is int:
-        return x
-    if t is Fraction:
-        return x._numerator if x._denominator == 1 else x
-    if t is Scalar:
-        terms = x._terms
-        if not terms:
-            return 0
-        if len(terms) == 1 and () in terms:
-            return narrow(terms[()])
-        return x
-    raise TypeError(f"expected an int, Fraction or Scalar coefficient, got {t.__name__}")
-
-
-def _reduced(x):
-    """A coefficient in its narrowest form, or None when it is zero.
-    Numbers and Scalars narrow; a combination is tested with ``is_zero``."""
-    t = type(x)
-    if t is int:
-        return x if x else None
+        return x or None
     if t is Fraction:
         return x if x._denominator != 1 else (x._numerator or None)
     if t is Scalar:
-        x = narrow(x)
-        return x if type(x) is Scalar or x else None
-    return None if x.is_zero() else x
+        terms = x._terms
+        if len(terms) == 1 and () in terms:
+            return _reduced(terms[()])
+        return x if terms else None
+    if isinstance(x, LinearCombination):
+        return None if x.is_zero() else x
+    raise TypeError(f"expected an int, Fraction or Scalar coefficient, got {t.__name__}")
+
+
+def narrow(x):
+    """The narrowest exact form of a coefficient (see :func:`_reduced`),
+    with ``0`` for zero."""
+    x = _reduced(x)
+    return 0 if x is None else x
 
 
 _ZERO_FACTOR = Fraction(0)
@@ -288,22 +282,12 @@ _ZERO_FACTOR = Fraction(0)
 def _factor(c):
     """A scale factor in its narrowest form: None for exactly 1,
     ``_ZERO_FACTOR`` for zero, else the narrowed number or Scalar."""
-    c = narrow(c)
-    if type(c) is int:
-        if c == 1:
-            return None
-        if not c:
-            return _ZERO_FACTOR
+    c = _reduced(c)
+    if c is None:
+        return _ZERO_FACTOR
+    if type(c) is int and c == 1:
+        return None
     return c
-
-
-def _scaled(value, f):
-    """``value * f`` for a coefficient and a factor from :func:`_factor`;
-    neither is zero, so neither is the product."""
-    value = value * f
-    if type(value) is Fraction and value._denominator == 1:
-        return value._numerator
-    return value
 
 
 def _accumulate(acc: dict, part: Mapping, f) -> None:
@@ -312,7 +296,7 @@ def _accumulate(acc: dict, part: Mapping, f) -> None:
     get = acc.get
     for key, value in part.items():
         if f is not None:
-            value = _scaled(value, f)
+            value = _reduced(value * f)
         old = get(key)
         if old is None:
             acc[key] = value
@@ -356,16 +340,15 @@ class LinearCombination:
     _context: str | None = None
 
     @staticmethod
-    def _nonzero(mapping, key=None, coerce=narrow) -> dict:
-        """The entries of ``mapping`` (a dict or pairs) whose value, after
-        ``coerce``, is nonzero; ``key`` normalizes and validates each key."""
+    def _nonzero(mapping, key=None) -> dict:
+        """The entries of ``mapping`` (a dict or pairs) whose value is
+        nonzero, each in its :func:`narrow` form; ``key`` normalizes and
+        validates each key."""
         out = {}
         if mapping:
             for k, v in dict(mapping).items():
                 if key is not None:
                     k = key(k)
-                if coerce is not None:
-                    v = coerce(v)
                 v = _reduced(v)
                 if v is not None:
                     out[k] = v
@@ -430,7 +413,7 @@ class LinearCombination:
             return self._build(*({} for _ in self._parts))
         # Coefficients lie in integral domains, so none of the products is zero.
         return self._build(
-            *({k: _scaled(v, f) for k, v in getattr(self, name).items()} for name in self._parts)
+            *({k: _reduced(v * f) for k, v in getattr(self, name).items()} for name in self._parts)
         )
 
     # A combination may be the coefficient of another (BracketPoly over

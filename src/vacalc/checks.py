@@ -245,12 +245,13 @@ def borcherds_identity_check(
     At q = 0 this is the graded mode-commutator formula.
     """
     table = _ProductTable(engine(a.alg))
-    return _borcherds_identity(table, (a, b, c), m, n, q, (str(a), str(b), str(c)))
+    sign_ab = table.eng.element_parity(a).sign_with(table.eng.element_parity(b))
+    return _borcherds_identity(table, (a, b, c), sign_ab, m, n, q, (str(a), str(b), str(c)))
 
 
-def _borcherds_identity(table: _ProductTable, triple, m, n, q, names) -> Identity:
-    """The master identity on the states ``triple``, with the subject
-    ``names`` followed by m, n and q."""
+def _borcherds_identity(table: _ProductTable, triple, sign_ab, m, n, q, names) -> Identity:
+    """The master identity on the states ``triple``, where ``sign_ab`` is
+    ``p(a,b)``, with the subject ``names`` followed by m, n and q."""
     a, b, c = triple
     eng = table.eng
     terms = []
@@ -267,7 +268,7 @@ def _borcherds_identity(table: _ProductTable, triple, m, n, q, names) -> Identit
         imax = q
     else:
         imax = max(0, table.degree(b, c) - n, table.degree(a, c) - m)
-    sign_q = sign_power(q) * eng.element_parity(a).sign_with(eng.element_parity(b))
+    sign_q = sign_power(q) * sign_ab
     terms = []
     for i in range(imax + 1):
         coeff = binom(q, i) * (-1) ** i
@@ -294,5 +295,6 @@ def borcherds_sweep(alg: AlgebraPresentation, index_range: int):
     for names in product(states, repeat=3):
         triple = tuple(states[name] for name in names)
         table = _ProductTable(eng)
+        sign_ab = alg.parity(names[0]).sign_with(alg.parity(names[1]))
         for m, n, q in product(span, repeat=3):
-            yield _borcherds_identity(table, triple, m, n, q, names)
+            yield _borcherds_identity(table, triple, sign_ab, m, n, q, names)

@@ -73,6 +73,8 @@ class ConformalElement(LinearCombination):
         return self._build({(g, n + 1): v for (g, n), v in self.terms.items()}, {})
 
     def translate_power(self, k: int) -> "ConformalElement":
+        if k < 0:
+            raise ValueError("translation power must be non-negative")
         out = self
         for _ in range(k):
             out = out.translate()
@@ -159,6 +161,7 @@ class AlgebraPresentation:
         self._validate_table()
         self.bilinear_form = bilinear_form
         self._vertex_engine = None  # created by vertex_calc.engine on first use
+        self._pair_products: dict = {}  # (a, b) -> generator_products(a, b)
 
     # -- declaration lookups -------------------------------------------------
 
@@ -262,6 +265,15 @@ class AlgebraPresentation:
             return BracketPoly.zero(("lambda",))
         sign = -self.parity(a).sign_with(self.parity(b))
         return substitute_skew(stored).scale(sign)
+
+    def generator_products(self, a: str, b: str) -> tuple:
+        """``j_products`` of the generators ``a`` and ``b``, memoized for the
+        presentation's lifetime (``VertexEngine.clear`` empties the memo)."""
+        key = (a, b)
+        out = self._pair_products.get(key)
+        if out is None:
+            out = self._pair_products[key] = tuple(j_products(self.gen(a), self.gen(b), self))
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraPresentation):

@@ -15,12 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lie_conformal import (
-    AlgebraPresentation,
-    ConformalElement,
-    VacalcError,
-    j_products,
-)
+from .lie_conformal import AlgebraPresentation, ConformalElement, VacalcError
 from .scalar import LinearCombination, Scalar, ScalarLike, binom, factorial
 
 SHIFTED = "shifted"
@@ -180,7 +175,7 @@ def mode_commutator(
     else:
         ms, ns = m, n
     terms = []
-    for j, cj in j_products(alg.gen(a), alg.gen(b), alg):
+    for j, cj in alg.generator_products(a, b):
         coeff = binom(ms, j)
         if isinstance(coeff, Scalar):
             if coeff.is_zero():

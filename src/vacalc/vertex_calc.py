@@ -169,10 +169,15 @@ class VertexElement(LinearCombination):
         )
 
     def translate_power(self, k: int) -> "VertexElement":
-        out = self
-        for _ in range(k):
-            out = out.translate()
-        return out
+        """``T^k``, word by word from the engine's per-word memo."""
+        if k < 0:
+            raise ValueError("translation power must be non-negative")
+        if k == 0:
+            return self
+        eng = engine(self.alg)
+        return eng.zero.combine(
+            (eng.translate_word_power(word, k), value) for word, value in self.words.items()
+        )
 
     def _heads(self):
         for word in sorted(self.words, key=lambda w: (len(w), w.atoms)):
@@ -220,10 +225,28 @@ class VertexEngine:
     def __init__(self, alg: AlgebraPresentation, max_lambda_degree=DEFAULT_MAX_LAMBDA_DEGREE):
         self.alg = alg
         self.max_lambda_degree = max_lambda_degree
-        self._bracket_cache: dict = {}
-        self._insert_cache: dict = {}
-        self._translate_cache: dict = {}
+        # Memos that live as long as the presentation; ``clear`` empties them.
+        self._bracket_cache: dict = {}  # (W, U) -> [W_lambda U]
+        self._insert_cache: dict = {}  # (atom, U) -> :atom U:
+        self._product_cache: dict = {}  # (W, U) -> :W U: for a composite W
+        self._translate_cache: dict = {}  # W -> T(W)
+        self._power_cache: dict = {}  # (W, k) -> T^k(W) for k >= 2
+        self._parity_cache: dict = {}  # W -> p(W)
         self.zero = VertexElement(alg)
+
+    def clear(self):
+        """Empty every memo of the presentation, the mode layer's table of
+        generator-pair j-products included."""
+        for cache in (
+            self._bracket_cache,
+            self._insert_cache,
+            self._product_cache,
+            self._translate_cache,
+            self._power_cache,
+            self._parity_cache,
+            self.alg._pair_products,
+        ):
+            cache.clear()
 
     # -- structural helpers ------------------------------------------------------
 
@@ -235,9 +258,12 @@ class VertexEngine:
         return self.alg.parity(atom[0])
 
     def word_parity(self, word: NormalWord) -> Parity:
-        p = Parity.EVEN
-        for atom in word.atoms:
-            p = p + self.atom_parity(atom)
+        p = self._parity_cache.get(word)
+        if p is None:
+            p = Parity.EVEN
+            for atom in word.atoms:
+                p = p + self.atom_parity(atom)
+            self._parity_cache[word] = p
         return p
 
     def element_parity(self, x: VertexElement) -> Parity:
@@ -276,6 +302,22 @@ class VertexEngine:
         )
         self._translate_cache[word] = result
         return result
+
+    def translate_word_power(self, word: NormalWord, k: int) -> VertexElement:
+        """``T^k(word)`` for k >= 1: raised in place on a single atom, else
+        memoized.  A miss fills every power above the highest one memoized
+        below k, in a loop, since k may be in the thousands."""
+        if len(word) == 1:
+            (g, d), = word.atoms
+            return self.atom_element((g, d + k))
+        cache = self._power_cache
+        j = k
+        while j > 1 and (word, j) not in cache:
+            j -= 1
+        out = cache[(word, j)] if j > 1 else self.translate_word(word)
+        for i in range(j + 1, k + 1):
+            out = cache[(word, i)] = out.translate()
+        return out
 
     def atom_element(self, atom) -> VertexElement:
         return VertexElement(self.alg, words={NormalWord((atom,)): 1})
@@ -416,38 +458,41 @@ class VertexEngine:
             terms.append((y, x._vacuum[()]))
         if y._vacuum:
             terms.append((x._build(x.words, {}, x.centrals), y._vacuum[()]))
-        if y.words:
-            secondary = y._build(y.words, {}, {})
-            terms += [
-                (self._word_product(word, secondary), value)
-                for word, value in sorted(x.words.items(), key=lambda kv: kv[0].atoms)
-            ]
+        terms += [
+            (self._word_product(W, U), sw * su)
+            for W, sw in sorted(x.words.items(), key=lambda kv: kv[0].atoms)
+            for U, su in y.words.items()
+        ]
         return self.zero.combine(terms)
 
-    def _word_product(self, W: NormalWord, y: VertexElement) -> VertexElement:
-        """``: W y :`` for a canonical word against a state of words."""
+    def _word_product(self, W: NormalWord, U: NormalWord) -> VertexElement:
+        """``:W U:`` of two canonical words, memoized for a composite ``W``."""
         if len(W) == 1:
-            return self.zero.combine(
-                (self._insert_atom_word(W.atoms[0], word), value)
-                for word, value in y.words.items()
-            )
+            return self._insert_atom_word(W.atoms[0], U)
+        key = (W, U)
+        cached = self._product_cache.get(key)
+        if cached is not None:
+            return cached
         # Quasi-associativity: (a_(-1) b)_(-1) c = a_(-1)(b_(-1) c)
         #   + sum_j a_(-j-2)(b_(j) c) + p(a,b) sum_j b_(-j-2)(a_(j) c).
         a_atom = W.atoms[0]
         b_word = NormalWord(W.atoms[1:])
         a_elem = self.atom_element(a_atom)
         b_elem = VertexElement(self.alg, words={b_word: 1})
-        terms = [(self.insert_atom(a_atom, self._word_product(b_word, y)), 1)]
+        c_elem = VertexElement(self.alg, words={U: 1})
+        terms = [(self.insert_atom(a_atom, self._word_product(b_word, U)), 1)]
         terms += [
             (self.nproduct(a_elem, -2 - j, prod), 1)
-            for j, prod in self.bracket(b_elem, y).j_products()
+            for j, prod in self.bracket(b_elem, c_elem).j_products()
         ]
         sign = self.atom_parity(a_atom).sign_with(self.word_parity(b_word))
         terms += [
             (self.nproduct(b_elem, -2 - j, prod), sign)
-            for j, prod in self.bracket(a_elem, y).j_products()
+            for j, prod in self.bracket(a_elem, c_elem).j_products()
         ]
-        return self.zero.combine(terms)
+        result = self.zero.combine(terms)
+        self._product_cache[key] = result
+        return result
 
     def nproduct(self, x: VertexElement, n: int, y: VertexElement) -> VertexElement:
         if n >= 0:

@@ -98,7 +98,10 @@ def test_sums_leave_cached_engine_results_unchanged():
     single = vx.NormalWord([("G", 0)])
     translated = eng.translate_word(word)
     bracket = eng._word_bracket(single, word)
-    snapshot = (str(translated), repr(bracket), str(eng.zero))
+    normal = eng._word_product(word, word)
+    power = eng.translate_word_power(word, 3)
+    cached = (translated, bracket, normal, power)
+    snapshot = [repr(value) for value in cached] + [str(eng.zero)]
 
     state = vx.VertexElement(alg, words={word: C})
     eng.zero.combine([(translated, 1), (translated, -1), (state, 2)])
@@ -107,10 +110,16 @@ def test_sums_leave_cached_engine_results_unchanged():
     eng.bracket(vx.state(alg, "G"), state.add(state.translate()))
     bracket.add(bracket).sub(bracket.scale(Fraction(1, 3)))
     BracketPoly.zero().combine([(bracket, 1), (bracket, C)])
+    eng.zero.combine([(normal, C), (power, 1), (normal, -C), (power, 2)])
+    normal.add(power).sub(normal.scale(Fraction(1, 3)))
+    state.translate_power(4).add(state.translate_power(3))
+    eng.normal_product(state, state.add(state.translate_power(3)))
 
     assert eng.translate_word(word) is translated
     assert eng._word_bracket(single, word) is bracket
-    assert snapshot == (str(translated), repr(bracket), "0")
+    assert eng._word_product(word, word) is normal
+    assert eng.translate_word_power(word, 3) is power
+    assert snapshot == [repr(value) for value in cached] + ["0"]
 
 
 # -- coefficients are kept in their narrowest exact type ------------------------

@@ -1,3 +1,5 @@
+import inspect
+import math
 import os
 import pickle
 import subprocess
@@ -636,3 +638,90 @@ def test_engine_bracket_of_atoms_is_the_table_bracket(name):
         table = lambda_bracket(alg.gen(a, i), alg.gen(b, j), alg)
         expected = table.map_coeffs(lambda e: vx.from_conformal(alg, e))
         assert engine == expected and str(engine) == str(table), (a, i, b, j)
+
+
+# -- engine memos ---------------------------------------------------------------
+
+MEMO_OPERANDS = {
+    "current_sl2": ["e", "d(h)", ":e f:", ":d(e) h:", ":h :e f::"],
+    "neveu_schwarz": ["G", "d(L)", ":G L:", ":L :d(G) G::"],
+    "free_fermion": ["psi1", ":psi1 psi2:", ":d(psi2) psi1:", ":d(psi1) :psi2 psi1::"],
+}
+
+
+def _memo_queries(name):
+    """Brackets, n-products (n in [-3, 3]) and OPEs of a composite left
+    operand with every operand but the longest, which run the product, power
+    and parity memos."""
+    operands = MEMO_OPERANDS[name]
+    out = []
+    for x, y in product(operands[2:], operands[:-1]):
+        out += [["bracket", x, y], ["ope", x, y]]
+        out += [["nproduct", x, str(n), y] for n in range(-3, 4)]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_OPERANDS))
+def test_warm_engine_answers_as_a_fresh_one(name):
+    from vacalc.frontend.query import parse_query, run_query
+
+    queries = _memo_queries(name)
+    fresh = [run_query(parse_query(q), builtin(name)) for q in queries]
+    forward = builtin(name)
+    assert [run_query(parse_query(q), forward) for q in queries] == fresh
+    backward = builtin(name)
+    answers = [run_query(parse_query(q), backward) for q in reversed(queries)]
+    assert answers[::-1] == fresh
+    assert vx.engine(backward)._product_cache and vx.engine(backward)._power_cache
+
+
+def test_clear_empties_every_memo():
+    from vacalc.mode_algebra import mode_commutator
+
+    alg = builtin("neveu_schwarz")
+    eng = vx.engine(alg)
+    x = vx.normal_word(alg, [("L", 0), ("G", 1)])
+    y = vx.normal_word(alg, [("L", 1), ("G", 0)])
+
+    def queries():
+        return (
+            eng.bracket(x, y),
+            eng.nproduct(x, -3, y),
+            x.translate_power(3),
+            mode_commutator("L", 2, "G", Scalar.param("n"), alg),
+        )
+
+    first = queries()
+    caches = [v for v in vars(eng).values() if isinstance(v, dict)] + [alg._pair_products]
+    assert len(caches) == 7 and all(caches)
+    eng.clear()
+    assert not any(caches)
+    assert queries() == first
+
+
+def test_negative_translation_power_is_refused(vir):
+    with pytest.raises(ValueError):
+        vx.state(vir, "L").translate_power(-3)
+    with pytest.raises(ValueError):
+        vir.gen("L").translate_power(-2)
+
+
+def test_large_translation_powers():
+    alg = virasoro()
+    assert vx.state(alg, "L").translate_power(5000) == vx.state(alg, "L", 5000)
+    # A composite word's powers are filled in a loop: with a recursion limit
+    # far below k, a fill that recursed once per power would fail.
+    alg = free_fermion()
+    word = vx.normal_word(alg, [("psi1", 0), ("psi2", 0)])
+    k = 150
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        high = word.translate_power(k)
+    finally:
+        sys.setrecursionlimit(limit)
+    expected = vx.VertexElement(
+        alg,
+        words={vx.NormalWord([("psi1", i), ("psi2", k - i)]): math.comb(k, i) for i in range(k + 1)},
+    )
+    assert high == expected

@@ -3,9 +3,10 @@ vertex algebras.
 
 The layers, bottom up: :mod:`vacalc.scalar` (exact coefficients),
 :mod:`vacalc.formal_dist` (distribution calculus in one and two formal
-variables), :mod:`vacalc.lie_conformal` (presentations and the
-lambda-bracket), :mod:`vacalc.mode_algebra` (Fourier-mode commutators),
-:mod:`vacalc.vertex_calc` (normally ordered words, Wick recursion),
+variables), :mod:`vacalc.lie_conformal` (presentations, the bracket table
+and the built-ins), :mod:`vacalc.mode_algebra` (Fourier-mode commutators),
+:mod:`vacalc.vertex_calc` (normally ordered words and the lambda-bracket,
+through sesquilinearity and the Wick recursion),
 :mod:`vacalc.checks` (axiom checks), :mod:`vacalc.frontend` (DSL, queries,
 rendering, CLI).
 """
@@ -26,8 +27,6 @@ from .lie_conformal import (
     current_algebra,
     free_boson,
     free_fermion,
-    j_products,
-    lambda_bracket,
     neveu_schwarz,
     sl2_current,
     uncharged_superfermions,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from .lie_conformal import AlgebraPresentation, ConformalElement, lambda_bracket
+from .lie_conformal import AlgebraPresentation
 from .mode_algebra import SHIFTED, ModeExpression, ModeSymbol, commute, default_indexing, mode
 from .poly import BracketPoly, embed_bivariate, substitute_skew, substitute_sum
 from .scalar import binom, factorial, sign_power
@@ -89,20 +89,21 @@ def _sweep(check: str):
 def check_skew(alg: AlgebraPresentation):
     """Verify ``[b_lambda a] = -p(a,b) * ([a_lambda b] with lambda -> -lambda-d)``
     for every generator pair."""
+    eng = engine(alg)
     for a, b in combinations_with_replacement([g.name for g in alg.generators], 2):
-        xa, xb = alg.gen(a), alg.gen(b)
+        xa, xb = state(alg, a), state(alg, b)
         sign = -alg.parity(a).sign_with(alg.parity(b))
-        rhs = substitute_skew(lambda_bracket(xa, xb, alg)).scale(sign)
-        yield Identity("skew", (b, a), lambda_bracket(xb, xa, alg), rhs)
+        rhs = substitute_skew(eng.bracket(xa, xb)).scale(sign)
+        yield Identity("skew", (b, a), eng.bracket(xb, xa), rhs)
 
 
 def _nested_bracket(
-    x: ConformalElement, inner: BracketPoly, alg, outer_pos: int
+    eng: VertexEngine, x: VertexElement, inner: BracketPoly, outer_pos: int
 ) -> BracketPoly:
     """``[x_lambda inner]`` where inner is a polynomial in the other variable;
     outer_pos selects which slot of (lambda, mu) the new bracket variable fills."""
     return BracketPoly.zero(("lambda", "mu")).combine(
-        (embed_bivariate(lambda_bracket(x, coeff, alg), outer_pos, k), 1)
+        (embed_bivariate(eng.bracket(x, coeff), outer_pos, k), 1)
         for (k,), coeff in inner.coeffs.items()
     )
 
@@ -111,15 +112,16 @@ def _nested_bracket(
 def check_jacobi(alg: AlgebraPresentation):
     """Verify ``[a_l [b_m c]] = [[a_l b]_(l+m) c] + p(a,b) [b_m [a_l c]]``
     coefficientwise in (lambda, mu) for every generator triple."""
+    eng = engine(alg)
     for a, b, c in product([g.name for g in alg.generators], repeat=3):
-        xa, xb, xc = alg.gen(a), alg.gen(b), alg.gen(c)
-        lhs = _nested_bracket(xa, lambda_bracket(xb, xc, alg), alg, 0)
+        xa, xb, xc = state(alg, a), state(alg, b), state(alg, c)
+        lhs = _nested_bracket(eng, xa, eng.bracket(xb, xc), 0)
         middle = (
-            (substitute_sum(lambda_bracket(coeff, xc, alg)).shift_power("lambda", i), 1)
-            for (i,), coeff in lambda_bracket(xa, xb, alg).coeffs.items()
+            (substitute_sum(eng.bracket(coeff, xc)).shift_power("lambda", i), 1)
+            for (i,), coeff in eng.bracket(xa, xb).coeffs.items()
         )
         sign = alg.parity(a).sign_with(alg.parity(b))
-        third = _nested_bracket(xb, lambda_bracket(xa, xc, alg), alg, 1)
+        third = _nested_bracket(eng, xb, eng.bracket(xa, xc), 1)
         rhs = BracketPoly.zero(("lambda", "mu")).combine([*middle, (third, sign)])
         yield Identity("jacobi", (a, b, c), lhs, rhs)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,11 +66,12 @@ def _parse_mode_ref(text: str):
 def _conformal_vector(alg: AlgebraPresentation) -> vx.VertexElement:
     if alg.is_generator("L"):
         return vx.state(alg, "L")
-    if alg.bilinear_form is not None:
+    try:
         return vx.fermion_conformal_vector(alg)
-    raise VacalcError(
-        "no Virasoro-type state available: declare a generator L"
-    )
+    except VacalcError:
+        raise VacalcError(
+            "no Virasoro-type state available: declare a generator L"
+        ) from None
 
 
 def run_query(
@@ -111,6 +113,8 @@ def _run(query: Query, alg: AlgebraPresentation, fmt: str, index_range: int):
             n = int(query.args[1])
         except ValueError:
             raise ParseError(f"nproduct index must be an integer, got {query.args[1]!r}")
+        if n < -sys.maxsize:
+            raise ParseError(f"nproduct index must be at least {-sys.maxsize}, got {n}")
         vb = parse_vertex_expr(query.args[2], alg)
         result = vx.nproduct(va, n, vb)
         return render_result(result, fmt, alg.name, str(query)), 0

@@ -1,10 +1,11 @@
-"""Presentations of Lie conformal superalgebras and the lambda-bracket.
+"""Presentations of Lie conformal superalgebras and the built-ins.
 
 A presentation declares parity-graded generators, torsion central generators,
-and a bracket table on ordered generator pairs.  The bracket of arbitrary
-elements of the free C[d]-module is evaluated by sesquilinearity, with the
-mirror of each table entry derived through skew-symmetry, so the table can
-never hold two inconsistent copies of the same pair.
+and a bracket table on ordered generator pairs, whose values are elements of
+the free C[d]-module.  The mirror of each table entry is derived through
+skew-symmetry, so the table can never hold two inconsistent copies of the
+same pair.  The lambda-bracket of arbitrary elements is evaluated in
+:mod:`vacalc.vertex_calc`, which applies sesquilinearity to the table.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .poly import BracketPoly, substitute_skew
-from .scalar import LinearCombination, Scalar, ScalarLike, binom
+from .scalar import LinearCombination, Scalar, ScalarLike
 
 
 class VacalcError(Exception):
@@ -69,16 +70,16 @@ class ConformalElement(LinearCombination):
         return cls()
 
     def translate(self) -> "ConformalElement":
-        """Apply d: raise derivative powers; centrals are torsion (d C = 0)."""
-        return self._build({(g, n + 1): v for (g, n), v in self.terms.items()}, {})
+        return self.translate_power(1)
 
     def translate_power(self, k: int) -> "ConformalElement":
+        """Apply d^k: raise derivative powers in place; centrals are torsion
+        (d C = 0)."""
         if k < 0:
             raise ValueError("translation power must be non-negative")
-        out = self
-        for _ in range(k):
-            out = out.translate()
-        return out
+        if k == 0:
+            return self
+        return self._build({(g, n + k): v for (g, n), v in self.terms.items()}, {})
 
     def _heads(self):
         for key in sorted(self.terms):
@@ -267,12 +268,13 @@ class AlgebraPresentation:
         return substitute_skew(stored).scale(sign)
 
     def generator_products(self, a: str, b: str) -> tuple:
-        """``j_products`` of the generators ``a`` and ``b``, memoized for the
-        presentation's lifetime (``VertexEngine.clear`` empties the memo)."""
+        """The nonzero j-products of the generators ``a`` and ``b``, read off
+        the table and memoized for the presentation's lifetime
+        (``VertexEngine.clear`` empties the memo)."""
         key = (a, b)
         out = self._pair_products.get(key)
         if out is None:
-            out = self._pair_products[key] = tuple(j_products(self.gen(a), self.gen(b), self))
+            out = self._pair_products[key] = tuple(self.pair_bracket(a, b).j_products())
         return out
 
     def __eq__(self, other):
@@ -288,45 +290,6 @@ class AlgebraPresentation:
 
     def __repr__(self):
         return f"AlgebraPresentation({self.name!r})"
-
-
-# ---------------------------------------------------------------------------
-# The lambda-bracket and its consequences
-# ---------------------------------------------------------------------------
-
-
-def lambda_bracket(
-    x: ConformalElement, y: ConformalElement, alg: AlgebraPresentation
-) -> BracketPoly:
-    """Bilinear bracket evaluation.
-
-    A derivative power m on the left contributes ``(-lambda)^m``; on the right
-    it contributes the binomially expanded ``(d + lambda)^m`` acting on the
-    table entry.  Both operands must be parity-homogeneous.
-    """
-    alg._check_element_symbols(x, "bracket operand")
-    alg._check_element_symbols(y, "bracket operand")
-    alg.element_parity(x)
-    alg.element_parity(y)
-    terms = []
-    for (g, m), s in sorted(x.terms.items()):
-        for (h, n), t in sorted(y.terms.items()):
-            base = alg.pair_bracket(g, h)
-            if base.is_zero():
-                continue
-            coeff = s * t * (-1) ** m
-            # (d + lambda)^n applied to the entry, then (-lambda)^m in front.
-            for k in range(n + 1):
-                part = base.map_coeffs(lambda e, r=n - k: e.translate_power(r))
-                terms.append((part.shift_power("lambda", k + m), coeff * binom(n, k)))
-    return BracketPoly.zero(("lambda",)).combine(terms)
-
-
-def j_products(
-    x: ConformalElement, y: ConformalElement, alg: AlgebraPresentation
-) -> list:
-    """Nonzero products ``x_(j) y = j! * (lambda^j coefficient)``."""
-    return lambda_bracket(x, y, alg).j_products()
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ states is decidable.  A central pinned by ``acts`` stays a symbol; only
 :meth:`VertexElement.folded` reads it as that scalar times the vacuum, for
 normal products, equality and the OPE and primary renderings.
 
-The bracket recursion: a derivative on the left factor pulls out
-``(-lambda)``; a composite right operand peels its head atom through the
+The bracket recursion is the only evaluator of the lambda-bracket.  A
+derivative on the left factor pulls out ``(-lambda)``; a derivative on a
+single right atom expands as ``(lambda + T)``; two underived atoms read the
+table.  A composite right operand peels its head atom through the
 non-abelian Wick formula (with the formal integral term); a composite left
 operand against a single atom flips through quasi-symmetry
 ``[x_lambda y] = -p(x,y) [y_(-lambda-T) x]``.  Every path terminates because
@@ -32,10 +34,9 @@ from .lie_conformal import (
     UndeclaredSymbolError,
     VacalcError,
     atom_text,
-    lambda_bracket,
 )
 from .poly import BracketPoly, integrate_zero_to_lambda, substitute_skew
-from .scalar import LinearCombination, Scalar, factorial, sign_power
+from .scalar import LinearCombination, Scalar, binom, factorial, sign_power
 
 DEFAULT_MAX_LAMBDA_DEGREE = 64
 
@@ -398,12 +399,26 @@ class VertexEngine:
             return cached
         g, d = W.atoms[0]
         if len(W) == 1 and d > 0:
+            # [T^d g _lambda U] = (-lambda)^d [g_lambda U]
             base = self._word_bracket(NormalWord(((g, 0),)), U)
             result = base.shift_power("lambda", d).scale(sign_power(d))
         elif len(W) == 1 and len(U) == 1:
             h, e = U.atoms[0]
-            conf = lambda_bracket(self.alg.gen(g), self.alg.gen(h, e), self.alg)
-            result = conf.map_coeffs(lambda c: from_conformal(self.alg, c))
+            if e == 0:
+                result = self.alg.pair_bracket(g, h).map_coeffs(
+                    lambda c: from_conformal(self.alg, c)
+                )
+            else:
+                # [g_lambda d^e h] = sum_k C(e,k) lambda^k T^(e-k) [g_lambda h]
+                base = self._word_bracket(W, NormalWord(((h, 0),)))
+                result = BracketPoly.zero(("lambda",)).combine(
+                    (
+                        base.map_coeffs(lambda c, r=e - k: c.translate_power(r))
+                        .shift_power("lambda", k),
+                        binom(e, k),
+                    )
+                    for k in range(e + 1)
+                )
         elif len(U) == 1:
             # Composite left, single right: quasi-symmetry flip.
             inner = self._word_bracket(U, W)
@@ -496,8 +511,8 @@ class VertexEngine:
 
     def nproduct(self, x: VertexElement, n: int, y: VertexElement) -> VertexElement:
         if n >= 0:
-            poly = self.bracket(x, y)
-            return poly.coefficient((n,), self.zero).scale(factorial(n))
+            value = self.bracket(x, y).coeffs.get((n,))
+            return self.zero if value is None else value.scale(factorial(n))
         j = -1 - n
         left = x.translate_power(j).scale(Fraction(1, factorial(j)))
         return self.normal_product(left, y)
@@ -690,10 +705,13 @@ def _invert_rational_matrix(rows):
 
 def fermion_conformal_vector(alg: AlgebraPresentation) -> VertexElement:
     """The state ``1/2 sum_i : d(dual_i) basis_i :`` built from the stored
-    bilinear form of a free-fermion presentation."""
+    bilinear form of a free-fermion presentation: one whose every table
+    entry is a lambda^0 multiple of centrals."""
     form = alg.bilinear_form
     if form is None:
         raise VacalcError("presentation carries no bilinear form")
+    if any(set(poly.coeffs) != {(0,)} or poly.coeffs[(0,)].terms for poly in alg.table.values()):
+        raise VacalcError("presentation is not a free-fermion table")
     names = [g.name for g in alg.generators]
     rows = [
         [Scalar.coerce(form.get((a, b), 0)).as_rational() for b in names]

@@ -20,7 +20,6 @@ from vacalc.lie_conformal import (
     Parity,
     free_boson,
     free_fermion,
-    lambda_bracket,
     neveu_schwarz,
     sl2_current,
     uncharged_superfermions,
@@ -44,6 +43,11 @@ def bp(alg_entries):
     return BracketPoly(("lambda",), {(k,): v for k, v in alg_entries.items()})
 
 
+def over_states(alg, poly):
+    """The same polynomial with each table element read as a state."""
+    return poly.map_coeffs(lambda e: vx.from_conformal(alg, e))
+
+
 def msym(gen, index):
     return ModeSymbol(gen, Scalar.coerce(index), WEIGHT)
 
@@ -57,7 +61,8 @@ def test_criterion_01_virasoro_bracket():
             3: ConformalElement(central={"C": Fraction(1, 12)}),
         }
     )
-    assert lambda_bracket(alg.gen("L"), alg.gen("L"), alg) == expected
+    L = vx.state(alg, "L")
+    assert vx.wick_bracket(L, L) == over_states(alg, expected)
     out, code = run_query(parse_query(["bracket", "L", "L"]), alg)
     assert code == 0
     assert out == "d(L) + 2*lambda*L + 1/12*lambda^3*C"
@@ -73,22 +78,24 @@ def test_criterion_02_virasoro_ope():
 
 def test_criterion_03_neveu_schwarz_suite():
     ns = neveu_schwarz()
-    L, G, C = ns.gen("L"), ns.gen("G"), ns.gen("C")
+    L, G, C = vx.state(ns, "L"), vx.state(ns, "G"), vx.state(ns, "C")
     dL = ConformalElement(terms={("L", 1): 1})
     dG = ConformalElement(terms={("G", 1): 1})
     Ge = ConformalElement(terms={("G", 0): 1})
     Le = ConformalElement(terms={("L", 0): 1})
     cc = lambda q: ConformalElement(central={"C": q})
-    assert lambda_bracket(L, L, ns) == bp(
-        {0: dL, 1: Le.scale(2), 3: cc(Fraction(1, 12))}
+    assert vx.wick_bracket(L, L) == over_states(
+        ns, bp({0: dL, 1: Le.scale(2), 3: cc(Fraction(1, 12))})
     )
-    assert lambda_bracket(L, G, ns) == bp({0: dG, 1: Ge.scale(Fraction(3, 2))})
-    assert lambda_bracket(G, L, ns) == bp(
-        {0: dG.scale(Fraction(1, 2)), 1: Ge.scale(Fraction(3, 2))}
+    assert vx.wick_bracket(L, G) == over_states(
+        ns, bp({0: dG, 1: Ge.scale(Fraction(3, 2))})
     )
-    assert lambda_bracket(G, G, ns) == bp({0: Le, 2: cc(Fraction(1, 6))})
-    assert lambda_bracket(C, L, ns).is_zero()
-    assert lambda_bracket(C, G, ns).is_zero()
+    assert vx.wick_bracket(G, L) == over_states(
+        ns, bp({0: dG.scale(Fraction(1, 2)), 1: Ge.scale(Fraction(3, 2))})
+    )
+    assert vx.wick_bracket(G, G) == over_states(ns, bp({0: Le, 2: cc(Fraction(1, 6))}))
+    assert vx.wick_bracket(C, L).is_zero()
+    assert vx.wick_bracket(C, G).is_zero()
 
     # symbolic mode relations: generic indices drop the central delta, the
     # slice n = -m recovers it
@@ -226,8 +233,8 @@ def test_criterion_05_axiom_checkers():
     skew = check_skew(bad)
     assert not skew.passed
     assert skew.failures[0].subject == ("L", "L")
-    assert skew.failures[0].diff == bp(
-        {0: ConformalElement(terms={("L", 1): -1})}
+    assert skew.failures[0].diff == over_states(
+        bad, bp({0: ConformalElement(terms={("L", 1): -1})})
     )
     assert not check_jacobi(bad).passed
 
@@ -239,9 +246,12 @@ def test_criterion_05_axiom_checkers():
     jac = check_jacobi(bad)
     assert not jac.passed
     failure = next(f for f in jac.failures if f.subject == ("G", "L", "G"))
-    assert failure.diff == BracketPoly(
-        ("lambda", "mu"),
-        {(0, 3): ConformalElement(central={"C": Fraction(1, 12)})},
+    assert failure.diff == over_states(
+        bad,
+        BracketPoly(
+            ("lambda", "mu"),
+            {(0, 3): ConformalElement(central={"C": Fraction(1, 12)})},
+        ),
     )
 
     # corruption 3: an even fermion with <phi,phi> = 1; the skew residual is
@@ -249,7 +259,9 @@ def test_criterion_05_axiom_checkers():
     bad = corrupted_fermion()
     skew = check_skew(bad)
     assert not skew.passed
-    assert skew.failures[0].diff == bp({0: ConformalElement(central={"K": 2})})
+    assert skew.failures[0].diff == over_states(
+        bad, bp({0: ConformalElement(central={"K": 2})})
+    )
     report(5, "checkers pass on the builtins and localize all three corruptions")
 
 

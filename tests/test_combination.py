@@ -13,7 +13,6 @@ from vacalc.lie_conformal import (
     BUILTIN_NAMES,
     ConformalElement,
     builtin,
-    lambda_bracket,
     neveu_schwarz,
     virasoro,
 )
@@ -177,7 +176,7 @@ def test_vertex_and_mode_results_hold_narrow_coefficients(name):
         for i in (-1, 0, 2):
             offset_a, offset_b = (-alg.weight(a)) % 1, (-alg.weight(b)) % 1
             _assert_narrow(mode_commutator(a, i + offset_a, b, offset_b - i, alg, indexing))
-        _assert_narrow(lambda_bracket(alg.gen(a, 1), alg.gen(b, 2), alg))
+        _assert_narrow(vx.wick_bracket(vx.state(alg, a, 1), vx.state(alg, b, 2)))
 
 
 def test_formal_results_hold_narrow_coefficients():

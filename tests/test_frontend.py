@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import time
 from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
@@ -19,9 +20,9 @@ from vacalc.frontend.parser import parse_conformal_expr, parse_vertex_expr
 from vacalc.lie_conformal import (
     GeneratorDecl,
     Parity,
+    VacalcError,
     builtin,
     current_algebra,
-    lambda_bracket,
     neveu_schwarz,
     virasoro,
 )
@@ -32,6 +33,7 @@ from vacalc.checks import (
     check_skew,
     verify_mode_jacobi,
 )
+from vacalc.poly import BracketPoly
 from vacalc.scalar import Scalar, factorial
 from vacalc import vertex_calc as vx
 from vacalc.vertex_calc import EngineLimitError
@@ -129,9 +131,8 @@ def test_query_bracket_text(vir):
 
 def test_query_bracket_round_trips_through_parser(vir):
     out, _ = run_query(parse_query(["bracket", "L", "L"]), vir)
-    assert parse_conformal_expr(out, vir) == lambda_bracket(
-        vir.gen("L"), vir.gen("L"), vir
-    )
+    parsed = parse_conformal_expr(out, vir).map_coeffs(lambda e: vx.from_conformal(vir, e))
+    assert parsed == vx.wick_bracket(vx.state(vir, "L"), vx.state(vir, "L"))
 
 
 def test_query_ope(vir):
@@ -306,6 +307,50 @@ def test_cli_negative_product_index(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.strip() == ":d(psi1) psi2:"
+
+
+def test_cli_vanishing_positive_product_needs_no_factorial(capsys):
+    # The lambda^n coefficient is absent, so the answer is 0 without n!.
+    for n in ("1000000", "99999999999999999999"):
+        assert main(["--builtin", "virasoro", "nproduct", "L", n, "L"]) == 0
+        assert capsys.readouterr() == ("0\n", "")
+
+
+def test_cli_product_index_below_the_machine_bound_is_a_usage_error(capsys):
+    assert main(["--builtin", "virasoro", "nproduct", "L", "-99999999999999999999", "L"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"vacalc: nproduct index must be at least {-sys.maxsize}, "
+        "got -99999999999999999999\n"
+    )
+
+
+@pytest.mark.parametrize("name, gen", [("current_sl2", "e"), ("free_boson", "a1")])
+def test_primary_needs_a_virasoro_type_state(capsys, name, gen):
+    # The fermion construction of a conformal vector applies only to a table
+    # of lambda^0 centrals; on a current algebra it is no Virasoro vector.
+    with pytest.raises(VacalcError, match="not a free-fermion table"):
+        vx.fermion_conformal_vector(builtin(name))
+    assert main(["--builtin", name, "primary", gen]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "vacalc: no Virasoro-type state available: declare a generator L\n"
+    assert main(["--builtin", "free_fermion", "primary", "psi1"]) == 0
+    assert capsys.readouterr().out == "primary(1/2)\n"
+
+
+def test_huge_derivative_power_in_a_definition_parses_at_once():
+    text = """algebra big {
+  generator a : even;
+  generator b : even;
+  bracket [a, b] = d^1000000(a);
+}"""
+    start = time.perf_counter()
+    alg = parse_definition(text)
+    # A loop of single d steps takes seconds at this power.
+    assert time.perf_counter() - start < 0.5
+    assert alg.pair_bracket("a", "b") == BracketPoly.constant(alg.gen("a", 1000000))
 
 
 def test_cli_algebra_file(tmp_path, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rng_for
+from vacalc import vertex_calc as vx
 from vacalc.checks import check_jacobi, check_skew
 from vacalc.lie_conformal import (
     AlgebraPresentation,
@@ -15,8 +16,6 @@ from vacalc.lie_conformal import (
     current_algebra,
     free_boson,
     free_fermion,
-    j_products,
-    lambda_bracket,
     uncharged_superfermions,
     virasoro,
 )
@@ -28,7 +27,12 @@ def bp(entries):
     return BracketPoly(("lambda",), {(k,): v for k, v in entries.items()})
 
 
-# -- lambda_bracket -----------------------------------------------------------
+def over_states(alg, poly):
+    """The same polynomial with each table element read as a state."""
+    return poly.map_coeffs(lambda e: vx.from_conformal(alg, e))
+
+
+# -- the lambda-bracket of generators -------------------------------------------
 
 
 def test_virasoro_bracket(vir):
@@ -39,12 +43,13 @@ def test_virasoro_bracket(vir):
             3: ConformalElement(central={"C": Fraction(1, 12)}),
         }
     )
-    assert lambda_bracket(vir.gen("L"), vir.gen("L"), vir) == expected
+    L = vx.state(vir, "L")
+    assert vx.wick_bracket(L, L) == over_states(vir, expected)
 
 
 def test_sesquilinearity_forced(vir):
-    base = lambda_bracket(vir.gen("L"), vir.gen("L"), vir)
-    shifted = lambda_bracket(vir.gen("L", 1), vir.gen("L"), vir)
+    base = vx.wick_bracket(vx.state(vir, "L"), vx.state(vir, "L"))
+    shifted = vx.wick_bracket(vx.state(vir, "L", 1), vx.state(vir, "L"))
     assert shifted == base.shift_power("lambda", 1).scale(-1)
 
 
@@ -56,25 +61,25 @@ def test_ns_mixed_bracket(ns):
             1: ConformalElement(terms={("G", 0): Fraction(3, 2)}),
         }
     )
-    assert lambda_bracket(ns.gen("G"), ns.gen("L"), ns) == expected
+    assert vx.wick_bracket(vx.state(ns, "G"), vx.state(ns, "L")) == over_states(ns, expected)
 
 
 def test_central_brackets_vanish(ns):
-    assert lambda_bracket(ns.gen("C"), ns.gen("L"), ns).is_zero()
-    assert lambda_bracket(ns.gen("G"), ns.gen("C"), ns).is_zero()
+    assert vx.wick_bracket(vx.state(ns, "C"), vx.state(ns, "L")).is_zero()
+    assert vx.wick_bracket(vx.state(ns, "G"), vx.state(ns, "C")).is_zero()
 
 
 def test_parity_mixing_rejected(ns):
-    mixed = ns.gen("L").add(ns.gen("G"))
+    mixed = vx.state(ns, "L").add(vx.state(ns, "G"))
     with pytest.raises(ParityError):
-        lambda_bracket(mixed, ns.gen("L"), ns)
+        vx.wick_bracket(mixed, vx.state(ns, "L"))
 
 
 # -- substitute_skew ----------------------------------------------------------
 
 
 def test_skew_substitution_virasoro_self_consistent(vir):
-    poly = lambda_bracket(vir.gen("L"), vir.gen("L"), vir)
+    poly = vx.wick_bracket(vx.state(vir, "L"), vx.state(vir, "L"))
     assert substitute_skew(poly).scale(-1) == poly
 
 
@@ -89,27 +94,26 @@ def test_skew_substitution_central_linear(vir):
     assert substitute_skew(poly) == poly.scale(-1)
 
 
-# -- j_products ----------------------------------------------------------------
+# -- j-products ----------------------------------------------------------------
 
 
 def test_virasoro_j_products(vir):
-    products = j_products(vir.gen("L"), vir.gen("L"), vir)
+    products = vx.vertex_jproducts(vx.state(vir, "L"), vx.state(vir, "L"))
     assert products == [
-        (0, ConformalElement(terms={("L", 1): 1})),
-        (1, ConformalElement(terms={("L", 0): 2})),
-        (3, ConformalElement(central={"C": Fraction(1, 2)})),
+        (0, vx.state(vir, "L", 1)),
+        (1, vx.state(vir, "L").scale(2)),
+        (3, vx.state(vir, "C").scale(Fraction(1, 2))),
     ]
 
 
 def test_fermion_j_products(fermion2):
-    products = j_products(fermion2.gen("psi1"), fermion2.gen("psi2"), fermion2)
-    assert products == []  # orthogonal pair
-    products = j_products(fermion2.gen("psi1"), fermion2.gen("psi1"), fermion2)
-    assert products == [(0, ConformalElement(central={"K": 1}))]
+    psi1, psi2 = vx.state(fermion2, "psi1"), vx.state(fermion2, "psi2")
+    assert vx.vertex_jproducts(psi1, psi2) == []  # orthogonal pair
+    assert vx.vertex_jproducts(psi1, psi1) == [(0, vx.state(fermion2, "K"))]
 
 
 def test_central_j_products_empty(ns):
-    assert j_products(ns.gen("C"), ns.gen("L"), ns) == []
+    assert vx.vertex_jproducts(vx.state(ns, "C"), vx.state(ns, "L")) == []
 
 
 # -- axiom checkers ---------------------------------------------------------------
@@ -144,11 +148,12 @@ def corrupted_virasoro():
 def test_corrupted_virasoro_fails_skew():
     # Hand oracle: -[L_(-l-d) L] for the corrupted table is (2d + 3l) L
     # + l^3/12 C, so the discrepancy against the table is -d(L) at degree 0.
-    report = check_skew(corrupted_virasoro())
+    alg = corrupted_virasoro()
+    report = check_skew(alg)
     assert not report.passed
     [failure] = report.failures
     diff = failure.diff
-    assert diff == bp({0: ConformalElement(terms={("L", 1): -1})})
+    assert diff == over_states(alg, bp({0: ConformalElement(terms={("L", 1): -1})}))
 
 
 def test_corrupted_virasoro_fails_jacobi():
@@ -158,11 +163,11 @@ def test_corrupted_virasoro_fails_jacobi():
 
 def test_jacobi_intermediate_value(vir):
     # [L_l [L_m L]] = (d^2 + (3l + 2m) d + 2 l^2 + 4 m l) L + central tail
-    L = vir.gen("L")
-    inner = lambda_bracket(L, L, vir)
+    L = vx.state(vir, "L")
+    inner = vx.wick_bracket(L, L)
     lhs = BracketPoly.zero(("lambda", "mu"))
     for (k,), coeff in inner.coeffs.items():
-        lhs = lhs.add(embed_bivariate(lambda_bracket(L, coeff, vir), 0, k))
+        lhs = lhs.add(embed_bivariate(vx.wick_bracket(L, coeff), 0, k))
     dL2 = ConformalElement(terms={("L", 2): 1})
     dL = ConformalElement(terms={("L", 1): 1})
     Le = ConformalElement(terms={("L", 0): 1})
@@ -179,7 +184,7 @@ def test_jacobi_intermediate_value(vir):
             (3, 1): C.scale(Fraction(1, 6)),
         },
     )
-    assert lhs == expected
+    assert lhs == over_states(vir, expected)
 
 
 def brute_force_sl2_jacobi():
@@ -274,15 +279,13 @@ def test_sl2_jacobi_against_brute_force(sl2):
 
 
 def random_homogeneous(rng, alg, parity, max_dpow=3):
+    """A state ``sum s * d^n(g)`` of one or two derivative atoms of one parity."""
     gens = [g for g in alg.generators if g.parity is parity]
-    out = ConformalElement.zero()
+    out = vx.zero(alg)
     for _ in range(rng.randint(1, 2)):
         g = rng.choice(gens)
-        out = out.add(
-            ConformalElement(
-                terms={(g.name, rng.randint(0, max_dpow)): Fraction(rng.randint(1, 5))}
-            )
-        )
+        atom = vx.state(alg, g.name, rng.randint(0, max_dpow))
+        out = out.add(atom.scale(Fraction(rng.randint(1, 5))))
     return out
 
 
@@ -293,11 +296,11 @@ def test_sesquilinearity_random(ns):
         parity_y = rng.choice((Parity.EVEN, Parity.ODD))
         x = random_homogeneous(rng, ns, parity_x)
         y = random_homogeneous(rng, ns, parity_y)
-        base = lambda_bracket(x, y, ns)
+        base = vx.wick_bracket(x, y)
         for m in range(1, 4):
-            lhs = lambda_bracket(x.translate_power(m), y, ns)
+            lhs = vx.wick_bracket(x.translate_power(m), y)
             assert lhs == base.shift_power("lambda", m).scale(Fraction(-1) ** m)
-        lhs = lambda_bracket(x, y.translate(), ns)
+        lhs = vx.wick_bracket(x, y.translate())
         rhs = base.map_coeffs(lambda e: e.translate()).add(
             base.shift_power("lambda", 1)
         )
@@ -309,10 +312,8 @@ def test_derivation_property(ns):
     for _ in range(25):
         x = random_homogeneous(rng, ns, rng.choice((Parity.EVEN, Parity.ODD)))
         y = random_homogeneous(rng, ns, rng.choice((Parity.EVEN, Parity.ODD)))
-        lhs = lambda_bracket(x, y, ns).map_coeffs(lambda e: e.translate())
-        rhs = lambda_bracket(x.translate(), y, ns).add(
-            lambda_bracket(x, y.translate(), ns)
-        )
+        lhs = vx.wick_bracket(x, y).map_coeffs(lambda e: e.translate())
+        rhs = vx.wick_bracket(x.translate(), y).add(vx.wick_bracket(x, y.translate()))
         assert lhs == rhs
 
 
@@ -325,8 +326,8 @@ def test_right_sesquilinearity_redundant(ns):
         x = random_homogeneous(rng, ns, px)
         y = random_homogeneous(rng, ns, py)
         sign = -px.sign_with(py)
-        direct = lambda_bracket(x, y.translate(), ns)
-        flipped = substitute_skew(lambda_bracket(y.translate(), x, ns)).scale(sign)
+        direct = vx.wick_bracket(x, y.translate())
+        flipped = substitute_skew(vx.wick_bracket(y.translate(), x)).scale(sign)
         assert direct == flipped
 
 
@@ -335,19 +336,19 @@ def test_j_product_translation_rules(vir, ns, fermion2, sl2):
         gens = [g.name for g in alg.generators]
         for a in gens:
             for b in gens:
-                products = dict(j_products(alg.gen(a), alg.gen(b), alg))
-                shifted = dict(j_products(alg.gen(a, 1), alg.gen(b), alg))
+                x, y = vx.state(alg, a), vx.state(alg, b)
+                zero = vx.zero(alg)
+                products = dict(vx.vertex_jproducts(x, y))
+                shifted = dict(vx.vertex_jproducts(x.translate(), y))
                 jmax = max(list(products) + list(shifted) + [0]) + 1
                 for j in range(jmax + 1):
-                    expected = products.get(j - 1, ConformalElement.zero()).scale(-j)
-                    assert shifted.get(j, ConformalElement.zero()) == expected
-                right = dict(j_products(alg.gen(a), alg.gen(b, 1), alg))
+                    expected = products.get(j - 1, zero).scale(-j)
+                    assert shifted.get(j, zero) == expected
+                right = dict(vx.vertex_jproducts(x, y.translate()))
                 for j in range(jmax + 1):
-                    expected = products.get(j, ConformalElement.zero()).translate()
-                    expected = expected.add(
-                        products.get(j - 1, ConformalElement.zero()).scale(j)
-                    )
-                    assert right.get(j, ConformalElement.zero()) == expected
+                    expected = products.get(j, zero).translate()
+                    expected = expected.add(products.get(j - 1, zero).scale(j))
+                    assert right.get(j, zero) == expected
 
 
 # -- builtin validation ------------------------------------------------------------

@@ -25,7 +25,6 @@ from vacalc.lie_conformal import (
     VacalcError,
     builtin,
     free_fermion,
-    lambda_bracket,
     uncharged_superfermions,
     virasoro,
 )
@@ -624,10 +623,21 @@ def test_pinned_central_stays_a_symbol_and_compares_as_its_scalar(vir):
     assert vx.nproduct(L, -1, C) == L.scale(Scalar.param("c"))
 
 
+def _sesquilinear_table_bracket(alg, a, i, b, j) -> BracketPoly:
+    """``[d^i a_lambda d^j b] = (-lambda)^i (lambda + d)^j [a_lambda b]``,
+    expanded from the table entry of the pair over the C[d]-module."""
+    base = alg.pair_bracket(a, b)
+    out = BracketPoly.zero(("lambda",))
+    for k in range(j + 1):
+        part = base.map_coeffs(lambda e: e.translate_power(j - k))
+        out = out.add(part.shift_power("lambda", i + k).scale(math.comb(j, k) * (-1) ** i))
+    return out
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ("superfermion",))
 def test_engine_bracket_of_atoms_is_the_table_bracket(name):
-    # Bracket queries on one-atom operands run on the engine; they must give
-    # the conformal bracket of the table, with every central still a symbol.
+    # Bracket queries on one-atom operands must give the sesquilinear
+    # expansion of the table, with every central still a symbol.
     if name == "superfermion":
         alg = parse_definition(DEFINITIONS["superfermion.vac"])
     else:
@@ -635,9 +645,29 @@ def test_engine_bracket_of_atoms_is_the_table_bracket(name):
     gens = [g.name for g in alg.generators]
     for a, b, i, j in product(gens, gens, range(3), range(3)):
         engine = vx.wick_bracket(vx.state(alg, a, i), vx.state(alg, b, j))
-        table = lambda_bracket(alg.gen(a, i), alg.gen(b, j), alg)
+        table = _sesquilinear_table_bracket(alg, a, i, b, j)
         expected = table.map_coeffs(lambda e: vx.from_conformal(alg, e))
         assert engine == expected and str(engine) == str(table), (a, i, b, j)
+
+
+def _random_composite(rng, alg):
+    """A canonical word of two atoms with derivative powers up to 1, scaled."""
+    gens = [g.name for g in alg.generators]
+    atoms = [(rng.choice(gens), rng.randint(0, 1)) for _ in range(2)]
+    return vx.normal_word(alg, atoms).scale(rng.randint(1, 4))
+
+
+@pytest.mark.parametrize("name", ["neveu_schwarz", "current_sl2"])
+def test_sesquilinearity_on_composite_words(name):
+    # [Tx_lambda y] = -lambda [x_lambda y] and [x_lambda Ty] = (lambda + T) [x_lambda y]
+    alg = builtin(name)
+    rng = rng_for(f"composite-sesqui-{name}")
+    for _ in range(10):
+        x, y = _random_composite(rng, alg), _random_composite(rng, alg)
+        base = vx.wick_bracket(x, y)
+        assert vx.wick_bracket(x.translate(), y) == base.shift_power("lambda", 1).scale(-1)
+        right = base.map_coeffs(lambda e: e.translate()).add(base.shift_power("lambda", 1))
+        assert vx.wick_bracket(x, y.translate()) == right, (str(x), str(y))
 
 
 # -- engine memos ---------------------------------------------------------------

@@ -208,27 +208,37 @@ def borcherds_nproducts_check(a: VertexElement, b: VertexElement, n: int) -> Ide
 
 
 class _ProductTable:
-    """n-products and bracket degrees of elements, memoized for as long as
-    the table lives: one identity, or one generator triple of a sweep."""
+    """Whole brackets and n-products of elements, memoized for as long as
+    the table lives: one identity, or one generator triple of a sweep.  A
+    positive product and a degree read the pair's whole bracket, so the
+    sweep's n = 0, 1, 2, ... on one pair evaluate it once."""
 
     def __init__(self, eng: VertexEngine):
         self.eng = eng
         self._products: dict = {}
-        self._degrees: dict = {}
+        self._brackets: dict = {}
+
+    def bracket(self, x: VertexElement, y: VertexElement) -> BracketPoly:
+        key = (x, y)
+        out = self._brackets.get(key)
+        if out is None:
+            out = self._brackets[key] = self.eng.bracket(x, y)
+        return out
 
     def nproduct(self, x: VertexElement, n: int, y: VertexElement) -> VertexElement:
         key = (x, n, y)
         out = self._products.get(key)
         if out is None:
-            out = self._products[key] = self.eng.nproduct(x, n, y)
+            if n >= 0:
+                value = self.bracket(x, y).coeffs.get((n,))
+                out = self.eng.zero if value is None else value.scale(factorial(n))
+            else:
+                out = self.eng.nproduct(x, n, y)
+            self._products[key] = out
         return out
 
     def degree(self, x: VertexElement, y: VertexElement) -> int:
-        key = (x, y)
-        out = self._degrees.get(key)
-        if out is None:
-            out = self._degrees[key] = self.eng.bracket(x, y).degree("lambda")
-        return out
+        return self.bracket(x, y).degree("lambda")
 
 
 def borcherds_identity_check(

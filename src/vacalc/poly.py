@@ -80,6 +80,14 @@ class BracketPoly(LinearCombination):
         mapped = ((exps, fn(value)) for exps, value in self.coeffs.items())
         return self._build({exps: value for exps, value in mapped if not value.is_zero()})
 
+    def truncated(self, top: int | None) -> "BracketPoly":
+        """The terms of a one-variable polynomial of degree at most ``top``;
+        ``self`` when ``top`` is None or no term lies above it."""
+        if top is None:
+            return self
+        kept = {exps: value for exps, value in self.coeffs.items() if exps[0] <= top}
+        return self if len(kept) == len(self.coeffs) else self._build(kept)
+
     def shift_power(self, var: str, k: int) -> "BracketPoly":
         """Multiply by ``var**k``."""
         idx = self.variables.index(var)
@@ -106,8 +114,9 @@ class BracketPoly(LinearCombination):
         return f"BracketPoly[{','.join(self.variables)}]({body})"
 
 
-def substitute_skew(poly: BracketPoly) -> BracketPoly:
-    """Substitute ``lambda -> -lambda - d`` in a one-variable polynomial.
+def substitute_skew(poly: BracketPoly, top: int | None = None) -> BracketPoly:
+    """Substitute ``lambda -> -lambda - d`` in a one-variable polynomial,
+    keeping the terms through ``lambda**top`` (all of them when None).
 
     ``d`` acts on the coefficients through their ``translate`` method (raising
     derivative powers and annihilating torsion generators), so
@@ -117,10 +126,11 @@ def substitute_skew(poly: BracketPoly) -> BracketPoly:
         raise ValueError("skew substitution needs a single bracket variable")
     terms = []
     for (k,), value in poly.coeffs.items():
-        shifted = value
-        # i = k, k-1, ..., 0; apply one more translate per step down.
-        for i in range(k, -1, -1):
-            if i < k:
+        start = k if top is None else min(k, top)
+        shifted = value if start == k else value.translate_power(k - start)
+        # i = start, start-1, ..., 0; apply one more translate per step down.
+        for i in range(start, -1, -1):
+            if i < start:
                 shifted = shifted.translate()
             if not shifted.is_zero():
                 terms.append(({(i,): shifted}, binom(k, i) * (1 if k % 2 == 0 else -1)))

@@ -127,11 +127,11 @@ class Scalar:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            if not q:
+            # A Fraction times a number is a Fraction: no conversion needed.
+            if not other:
                 return Scalar.zero()
             result = Scalar.__new__(Scalar)
-            result._terms = {m: c * q for m, c in self._terms.items()}
+            result._terms = {m: c * other for m, c in self._terms.items()}
             return result
         if not isinstance(other, Scalar):
             return NotImplemented
@@ -152,10 +152,11 @@ class Scalar:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            if not q:
+            if not other:
                 raise ZeroDivisionError("scalar division by zero")
-            return self * (Fraction(1) / q)
+            result = Scalar.__new__(Scalar)
+            result._terms = {m: c / other for m, c in self._terms.items()}
+            return result
         if isinstance(other, Scalar) and other.is_constant():
             return self / other.as_rational()
         raise TypeError("scalars divide only by nonzero rational constants")

@@ -18,6 +18,16 @@ non-abelian Wick formula (with the formal integral term); a composite left
 operand against a single atom flips through quasi-symmetry
 ``[x_lambda y] = -p(x,y) [y_(-lambda-T) x]``.  Every path terminates because
 bracket tables are linear in the generators.
+
+The recursion takes a degree bound ``top`` and then builds the bracket only
+through ``lambda^top``; a positive n-th product asks for ``top = n``.  The
+left rule asks ``top - d``, the right rule keeps ``lambda^k`` for ``k <= top``,
+the quasi-symmetry flip substitutes into the whole inner bracket and keeps
+``lambda^i`` for ``i <= top``, and the Wick integral of the ``lambda^i``
+coefficient, which starts at ``lambda^(i+1)``, asks its integrand through
+``mu^(top-1-i)``.  One memo per word pair records the degree through which
+its polynomial is exact; a second request beyond that degree computes the
+whole bracket, so repeated n-products of one pair cost one evaluation.
 """
 
 from __future__ import annotations
@@ -227,7 +237,7 @@ class VertexEngine:
         self.alg = alg
         self.max_lambda_degree = max_lambda_degree
         # Memos that live as long as the presentation; ``clear`` empties them.
-        self._bracket_cache: dict = {}  # (W, U) -> [W_lambda U]
+        self._bracket_cache: dict = {}  # (W, U) -> ([W_lambda U] through lambda^t, t)
         self._insert_cache: dict = {}  # (atom, U) -> :atom U:
         self._product_cache: dict = {}  # (W, U) -> :W U: for a composite W
         self._translate_cache: dict = {}  # W -> T(W)
@@ -378,12 +388,14 @@ class VertexEngine:
 
     # -- the lambda-bracket ----------------------------------------------------------
 
-    def bracket(self, x: VertexElement, y: VertexElement) -> BracketPoly:
+    def bracket(self, x: VertexElement, y: VertexElement, top: int | None = None) -> BracketPoly:
+        """``[x_lambda y]`` through ``lambda^top``; the whole bracket when
+        ``top`` is None."""
         x._require_same(y)
         self.element_parity(x)
         self.element_parity(y)
         out = BracketPoly.zero(("lambda",)).combine(
-            (self._word_bracket(wx, wy), sx * sy)
+            (self._word_bracket(wx, wy, top), sx * sy)
             for wx, sx in sorted(x.words.items(), key=lambda kv: kv[0].atoms)
             for wy, sy in sorted(y.words.items(), key=lambda kv: kv[0].atoms)
         )
@@ -392,53 +404,77 @@ class VertexEngine:
             raise EngineLimitError(f"lambda degree exceeds guard {limit}")
         return out
 
-    def _word_bracket(self, W: NormalWord, U: NormalWord) -> BracketPoly:
+    def _word_bracket(self, W: NormalWord, U: NormalWord, top: int | None = None) -> BracketPoly:
+        """``[W_lambda U]`` through ``lambda^top`` (whole when None).  The memo
+        holds one polynomial per pair with the degree through which it is
+        exact (None: whole); a request it covers is cut from it, and a
+        request it does not cover computes the whole bracket."""
         key = (W, U)
         cached = self._bracket_cache.get(key)
+        through = top
         if cached is not None:
-            return cached
+            poly, exact = cached
+            if top == exact:
+                return poly
+            if exact is None or (top is not None and top < exact):
+                return poly.truncated(top)
+            through = None
         g, d = W.atoms[0]
         if len(W) == 1 and d > 0:
             # [T^d g _lambda U] = (-lambda)^d [g_lambda U]
-            base = self._word_bracket(NormalWord(((g, 0),)), U)
-            result = base.shift_power("lambda", d).scale(sign_power(d))
+            if through is not None and through < d:
+                result = BracketPoly.zero(("lambda",))
+            else:
+                base = self._word_bracket(
+                    NormalWord(((g, 0),)), U, None if through is None else through - d
+                )
+                result = base.shift_power("lambda", d).scale(sign_power(d))
         elif len(W) == 1 and len(U) == 1:
             h, e = U.atoms[0]
             if e == 0:
+                # A table entry is read whole.
+                through = None
                 result = self.alg.pair_bracket(g, h).map_coeffs(
                     lambda c: from_conformal(self.alg, c)
                 )
             else:
                 # [g_lambda d^e h] = sum_k C(e,k) lambda^k T^(e-k) [g_lambda h]
                 base = self._word_bracket(W, NormalWord(((h, 0),)))
+                limit = self.max_lambda_degree
+                if through is None and limit is not None and e + base.degree("lambda") > limit:
+                    # Exact before the expansion: the top coefficient is that of [g_lambda h].
+                    raise EngineLimitError(f"lambda degree exceeds guard {limit}")
                 result = BracketPoly.zero(("lambda",)).combine(
                     (
-                        base.map_coeffs(lambda c, r=e - k: c.translate_power(r))
+                        (base if through is None else base.truncated(through - k))
+                        .map_coeffs(lambda c, r=e - k: c.translate_power(r))
                         .shift_power("lambda", k),
                         binom(e, k),
                     )
-                    for k in range(e + 1)
+                    for k in range(e + 1 if through is None else min(e, through) + 1)
                 )
         elif len(U) == 1:
-            # Composite left, single right: quasi-symmetry flip.
+            # Composite left, single right: quasi-symmetry flip.  Every
+            # lambda^i of the result reads every coefficient of [U_lambda W].
             inner = self._word_bracket(U, W)
             sign = -self.word_parity(W).sign_with(self.word_parity(U))
-            result = substitute_skew(inner).scale(sign)
+            result = substitute_skew(inner, through).scale(sign)
         else:
-            result = self._wick_composite_right(W, U)
-        self._bracket_cache[key] = result
-        return result
+            result = self._wick_composite_right(W, U, through)
+        self._bracket_cache[key] = (result, through)
+        return result if through == top else result.truncated(top)
 
-    def _wick_composite_right(self, W: NormalWord, U: NormalWord) -> BracketPoly:
-        """Non-abelian Wick formula on ``U = :head rest:``:
+    def _wick_composite_right(self, W: NormalWord, U: NormalWord, top: int | None) -> BracketPoly:
+        """Non-abelian Wick formula on ``U = :head rest:``, through ``lambda^top``:
         ``[W_l :hc:] = :[W_l h] c: + p(W,h) :h [W_l c]: + int_0^l [[W_l h]_m c] dm``.
+        The integral of the ``lambda^i`` coefficient starts at ``lambda^(i+1)``.
         """
         head = U.atoms[0]
         head_elem = self.atom_element(head)
         rest_elem = self._tail_element(U)
-        t_head = self._word_bracket(W, NormalWord((head,)))
+        t_head = self._word_bracket(W, NormalWord((head,)), top)
         t_rest = self.bracket(
-            VertexElement(self.alg, words={W: 1}), rest_elem
+            VertexElement(self.alg, words={W: 1}), rest_elem, top
         )
         terms = []
         for (i,), value in t_head.coeffs.items():
@@ -449,7 +485,10 @@ class VertexEngine:
             prod = self.normal_product(head_elem, value)
             terms.append((BracketPoly.constant(prod).shift_power("lambda", i), sign))
         for (i,), value in t_head.coeffs.items():
-            integrand = self.bracket(value, rest_elem)  # polynomial in mu
+            if top is not None and i >= top:
+                continue
+            # A polynomial in mu, needed through mu^(top-1-i).
+            integrand = self.bracket(value, rest_elem, None if top is None else top - 1 - i)
             integral = integrate_zero_to_lambda(integrand)
             terms.append((integral.shift_power("lambda", i), 1))
         return BracketPoly.zero(("lambda",)).combine(terms)
@@ -511,7 +550,7 @@ class VertexEngine:
 
     def nproduct(self, x: VertexElement, n: int, y: VertexElement) -> VertexElement:
         if n >= 0:
-            value = self.bracket(x, y).coeffs.get((n,))
+            value = self.bracket(x, y, n).coeffs.get((n,))
             return self.zero if value is None else value.scale(factorial(n))
         j = -1 - n
         left = x.translate_power(j).scale(Fraction(1, factorial(j)))

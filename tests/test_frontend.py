@@ -572,6 +572,17 @@ def test_lambda_degree_limit_covers_a_generator_bracket(capsys):
     assert capsys.readouterr().out == "d(L) + 2*lambda*L + 1/12*lambda^3*C\n"
 
 
+def test_lambda_degree_limit_bounds_the_terms_an_nproduct_builds(capsys):
+    # A positive n-product builds the bracket only through lambda^n.
+    base = ["--builtin", "virasoro", "--max-lambda-degree", "1"]
+    assert main(base + ["nproduct", "L", "0", "L"]) == 0
+    assert capsys.readouterr().out == "d(L)\n"
+    for query in (["bracket", "L", "L"], ["nproduct", "L", "3", "L"]):
+        assert main(base + query) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "vacalc: lambda degree exceeds guard 1\n")
+
+
 def test_negative_lambda_degree_limit_rejected(capsys):
     assert main(["--builtin", "virasoro", "--max-lambda-degree", "-1", "bracket", "L", "L"]) == 2
     captured = capsys.readouterr()

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -575,6 +576,19 @@ def test_lambda_degree_guard():
         eng.bracket(L, L)
 
 
+def test_lambda_degree_guard_trips_before_a_high_right_derivative_expands():
+    # [L_lambda d^k L] has degree k + 3.  The guard trips before the k + 1
+    # terms of the right rule are built (seconds of binomial arithmetic at
+    # this k), while L_(0) d^k L needs only the lambda^0 term T^(k+1) L.
+    alg = virasoro()
+    L, high = vx.state(alg, "L"), vx.state(alg, "L", 6000)
+    start = time.perf_counter()
+    with pytest.raises(EngineLimitError, match="exceeds guard 64"):
+        vx.wick_bracket(L, high)
+    assert vx.nproduct(L, 0, high) == vx.state(alg, "L", 6001)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_normal_word_hash_is_recomputed_on_unpickling():
     # A word stores its hash, which depends on the string-hash seed: a word
     # unpickled under another seed must still find equal words.
@@ -670,6 +684,57 @@ def test_sesquilinearity_on_composite_words(name):
         assert vx.wick_bracket(x, y.translate()) == right, (str(x), str(y))
 
 
+def _presentation(name):
+    if name == "superfermion":
+        return parse_definition(DEFINITIONS["superfermion.vac"])
+    return builtin(name)
+
+
+def _random_word(rng, alg, length):
+    """A canonical word of ``length`` atoms with derivative powers up to 2, scaled."""
+    gens = [g.name for g in alg.generators]
+    atoms = [(rng.choice(gens), rng.randint(0, 2)) for _ in range(length)]
+    return vx.normal_word(alg, atoms).scale(rng.randint(1, 3))
+
+
+@pytest.mark.parametrize(
+    "name", ["current_sl2", "neveu_schwarz", "virasoro", "free_fermion", "superfermion"]
+)
+def test_truncated_bracket_is_the_whole_bracket_cut(name):
+    # [x_lambda y] through lambda^top is the whole bracket without its terms
+    # above lambda^top: on a fresh engine, before the whole bracket and after
+    # it; x_(n) y is n! times the lambda^n coefficient.
+    alg = _presentation(name)
+    eng = vx.engine(alg)
+    rng = rng_for(f"truncated-bracket-{name}")
+    for _ in range(6):
+        # One to three atoms a side, at most four in all, keeps the
+        # degree-by-degree recomputation below a second per algebra.
+        length = rng.randint(1, 3)
+        x = _random_word(rng, alg, length)
+        y = _random_word(rng, alg, rng.randint(1, min(3, 4 - length)))
+        eng.clear()
+        whole = eng.bracket(x, y)
+        tops = range(whole.degree("lambda") + 2)
+
+        def cut(top):
+            return BracketPoly(
+                ("lambda",), {e: v for e, v in whole.coeffs.items() if e[0] <= top}
+            )
+
+        for top in tops:
+            eng.clear()
+            assert eng.bracket(x, y, top) == cut(top), (str(x), str(y), top)
+            assert eng.bracket(x, y) == whole
+        for top in tops:
+            assert eng.bracket(x, y, top) == cut(top), (str(x), str(y), top)
+        eng.clear()
+        for n in tops:
+            expected = whole.coefficient((n,), eng.zero).scale(math.factorial(n))
+            assert eng.nproduct(x, n, y) == expected, (str(x), n, str(y))
+        assert eng.bracket(x, y) == whole
+
+
 # -- engine memos ---------------------------------------------------------------
 
 MEMO_OPERANDS = {
@@ -715,6 +780,7 @@ def test_clear_empties_every_memo():
 
     def queries():
         return (
+            eng.nproduct(x, 1, y),
             eng.bracket(x, y),
             eng.nproduct(x, -3, y),
             x.translate_power(3),

@@ -153,13 +153,18 @@ def verify_mode_jacobi(
         g: [mode(g, i, indexing) for i in _index_grid(alg, g, index_range, indexing)]
         for g in gens
     }
+    # One object per symbol: the grids and every memoized commutator hold it,
+    # so equal table and sum keys match by identity, not by comparing indices.
+    canonical = {x: x for grid in grids.values() for x in grid}
     table: dict = {}
 
     def comm(x: ModeSymbol, y: ModeSymbol) -> ModeExpression:
         key = (x, y)
         out = table.get(key)
         if out is None:
-            out = table[key] = commute(x, y, alg)
+            out = commute(x, y, alg)
+            terms = {canonical.setdefault(s, s): v for s, v in out.terms.items()}
+            out = table[key] = out._build(terms, out.central)
         return out
 
     def bilinear(x: ModeExpression, y: ModeExpression) -> ModeExpression:
@@ -217,6 +222,7 @@ class _ProductTable:
         self.eng = eng
         self._products: dict = {}
         self._brackets: dict = {}
+        self._degrees: dict = {}
 
     def bracket(self, x: VertexElement, y: VertexElement) -> BracketPoly:
         key = (x, y)
@@ -238,7 +244,11 @@ class _ProductTable:
         return out
 
     def degree(self, x: VertexElement, y: VertexElement) -> int:
-        return self.bracket(x, y).degree("lambda")
+        key = (x, y)
+        out = self._degrees.get(key)
+        if out is None:
+            out = self._degrees[key] = self.bracket(x, y).degree("lambda")
+        return out
 
 
 def borcherds_identity_check(

@@ -201,15 +201,24 @@ def expand_power(k: int, orientation: str, order: int) -> TruncatedSeries:
     if order < 1:
         raise ValueError("expansion order must be positive")
     if k >= 0:
-        coeffs = {(k - j, j): binom(k, j) * sign_power(j) for j in range(k + 1)}
+        coeffs = {(k - j, j): c * sign_power(j) for j, c in _binomials(k, k + 1)}
         return TruncatedSeries.build(coeffs)
     if orientation == Z_DOMINANT:
-        coeffs = {(k - j, j): binom(k, j) * sign_power(j) for j in range(order)}
+        coeffs = {(k - j, j): c * sign_power(j) for j, c in _binomials(k, order)}
         return TruncatedSeries.build(coeffs, trunc_var="w", order=order)
     if orientation == W_DOMINANT:
-        coeffs = {(j, k - j): binom(k, j) * sign_power(k - j) for j in range(order)}
+        coeffs = {(j, k - j): c * sign_power(k - j) for j, c in _binomials(k, order)}
         return TruncatedSeries.build(coeffs, trunc_var="z", order=order)
     raise ValueError(f"unknown orientation {orientation!r}")
+
+
+def _binomials(k: int, count: int):
+    """``(j, C(k, j))`` for j below ``count`` and an integer k, by the
+    recurrence ``C(k, j+1) = C(k, j) (k-j) / (j+1)``, whose division is exact."""
+    c = 1
+    for j in range(count):
+        yield j, c
+        c = c * (k - j) // (j + 1)
 
 
 # ---------------------------------------------------------------------------

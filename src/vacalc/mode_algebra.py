@@ -30,9 +30,10 @@ class ModeSymbol:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Symbols key the commutator tables of sweeps; hashing the index
-        # builds a frozenset of its terms, so it is done once per symbol.
-        object.__setattr__(self, "_hash", hash((self.gen, self.index, self.indexing)))
+        # Symbols key the commutator tables of sweeps, so the hash is taken
+        # once per symbol, from the index's text: ``hash(-1) == hash(-2)``,
+        # so hashing the index's terms makes the modes -1 and -2 collide.
+        object.__setattr__(self, "_hash", hash((self.gen, str(self.index), self.indexing)))
 
     def __hash__(self):
         return self._hash

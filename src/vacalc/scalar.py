@@ -19,11 +19,13 @@ RationalLike = Union[int, Fraction]
 Monomial = tuple
 
 
-def _as_fraction(x: RationalLike) -> Fraction:
+def _rational(x) -> RationalLike:
+    """``x`` as an exact rational in its narrow form: an int, else a Fraction
+    whose denominator is not 1.  Any other type raises TypeError."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
 
 
@@ -31,16 +33,19 @@ class Scalar:
     """A polynomial in named parameters with rational coefficients.
 
     Monomials are kept in a canonical sorted form so that equal scalars have
-    identical representations.  Zero coefficients are never stored.
+    identical representations.  Zero coefficients are never stored, and each
+    stored coefficient is narrow: an int, else a Fraction whose denominator
+    is not 1, so integral arithmetic runs on ints.  ``hash(3) ==
+    hash(Fraction(3))``, so the hash does not see the narrowing.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(self, terms: Mapping[Monomial, RationalLike] | None = None):
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = _as_fraction(coeff)
+                coeff = _rational(coeff)
                 if coeff:
                     clean[tuple(sorted(mono))] = coeff
         self._terms = clean
@@ -53,15 +58,15 @@ class Scalar:
 
     @classmethod
     def one(cls) -> "Scalar":
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     @classmethod
     def from_rational(cls, q: RationalLike) -> "Scalar":
-        return cls({(): _as_fraction(q)})
+        return cls({(): q})
 
     @classmethod
     def param(cls, name: str) -> "Scalar":
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
     @classmethod
     def coerce(cls, x: "ScalarLike") -> "Scalar":
@@ -82,7 +87,7 @@ class Scalar:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"scalar {self} is not a rational constant")
-        return self._terms[()]
+        return Fraction(self._terms[()])
 
     def parameters(self) -> set:
         names = set()
@@ -91,23 +96,34 @@ class Scalar:
                 names.add(name)
         return names
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(tuple(sorted(mono)), Fraction(0))
+    def coefficient(self, mono: Monomial) -> RationalLike:
+        return self._terms.get(tuple(sorted(mono)), 0)
 
-    def terms(self) -> Iterable[tuple[Monomial, Fraction]]:
+    def terms(self) -> Iterable[tuple[Monomial, RationalLike]]:
         return sorted(self._terms.items())
 
     # -- ring operations ---------------------------------------------------
+    # Each result coefficient is narrowed: a sum or product of Fractions may
+    # be integral.
 
     def __add__(self, other):
-        other = Scalar.coerce(other)
+        if type(other) is not Scalar:
+            other = Scalar.coerce(other)
+        if not other._terms:
+            return self
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            new = out.get(mono, Fraction(0)) + coeff
+            old = out.get(mono)
+            if old is None:
+                out[mono] = coeff
+                continue
+            new = old + coeff
+            if type(new) is Fraction and new._denominator == 1:
+                new = new._numerator
             if new:
                 out[mono] = new
             else:
-                out.pop(mono, None)
+                del out[mono]
         result = Scalar.__new__(Scalar)
         result._terms = out
         return result
@@ -127,23 +143,36 @@ class Scalar:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            # A Fraction times a number is a Fraction: no conversion needed.
             if not other:
                 return Scalar.zero()
+            if other == 1:
+                return self
+            out = {}
+            for m, c in self._terms.items():
+                new = c * other
+                if type(new) is Fraction and new._denominator == 1:
+                    new = new._numerator
+                out[m] = new
             result = Scalar.__new__(Scalar)
-            result._terms = {m: c * other for m, c in self._terms.items()}
+            result._terms = out
             return result
         if not isinstance(other, Scalar):
             return NotImplemented
         out: dict = {}
+        get = out.get
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = _merge_monomials(m1, m2)
-                new = out.get(mono, Fraction(0)) + c1 * c2
+                new = c1 * c2
+                old = get(mono)
+                if old is not None:
+                    new = old + new
+                if type(new) is Fraction and new._denominator == 1:
+                    new = new._numerator
                 if new:
                     out[mono] = new
                 else:
-                    out.pop(mono, None)
+                    del out[mono]
         result = Scalar.__new__(Scalar)
         result._terms = out
         return result
@@ -151,15 +180,25 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("scalar division by zero")
-            result = Scalar.__new__(Scalar)
-            result._terms = {m: c / other for m, c in self._terms.items()}
-            return result
         if isinstance(other, Scalar) and other.is_constant():
-            return self / other.as_rational()
-        raise TypeError("scalars divide only by nonzero rational constants")
+            other = other.as_rational()
+        if not isinstance(other, (int, Fraction)):
+            raise TypeError("scalars divide only by nonzero rational constants")
+        if not other:
+            raise ZeroDivisionError("scalar division by zero")
+        other = _rational(other)
+        if other == 1:
+            return self
+        out = {}
+        for m, c in self._terms.items():
+            # An int over an int is a Fraction, never a float.
+            new = Fraction(c, other) if type(c) is int and type(other) is int else c / other
+            if new._denominator == 1:
+                new = new._numerator
+            out[m] = new
+        result = Scalar.__new__(Scalar)
+        result._terms = out
+        return result
 
     def __pow__(self, n: int):
         if n < 0:
@@ -186,7 +225,10 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Scalar.from_rational(other)
+            terms = self._terms
+            if not other:
+                return not terms
+            return len(terms) == 1 and terms.get(()) == other
         if not isinstance(other, Scalar):
             return NotImplemented
         return self._terms == other._terms
@@ -331,9 +373,9 @@ class LinearCombination:
     Scalar in its :func:`narrow` form (an int, a non-integral Fraction or a
     Scalar holding a parameter), so equal values have equal parts and equal
     hashes; or it is a value of another combination type, which needs ``+``,
-    ``*`` by a scale factor and ``is_zero``.  Values are immutable; every
-    operation builds fresh dicts, so caches may hand the same object to
-    every caller.
+    ``*`` by a scale factor and ``is_zero``.  Values are immutable; an
+    operation builds fresh dicts or returns an operand unchanged, so caches
+    and sums may hand the same object to every caller.
     """
 
     __slots__ = ("_hash",)
@@ -381,7 +423,17 @@ class LinearCombination:
 
     def combine(self, pairs):
         """``self + sum(c * x for x, c in pairs)``, built in one pass over
-        fresh dicts; no operand is changed."""
+        fresh dicts; no operand is changed.  A sum that adds nothing returns
+        its operand: no pairs give ``self``, and one pair onto an empty value
+        of the same type and context gives ``x.scale(c)``, which is ``x``
+        itself when c is 1."""
+        pairs = tuple(pairs)
+        if not pairs:
+            return self
+        if len(pairs) == 1 and self.is_zero():
+            x, c = pairs[0]
+            if type(x) is type(self) and self._same_context(x):
+                return x.scale(c)
         names = self._parts
         accs = [dict(getattr(self, name)) for name in names]
         for x, c in pairs:
@@ -465,6 +517,10 @@ class LinearCombination:
 
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
+    if not m1:
+        return m2
+    if not m2:
+        return m1
     exps: dict = {}
     for name, exp in m1:
         exps[name] = exps.get(name, 0) + exp
@@ -499,7 +555,7 @@ def binom(j, n: int):
         if j >= 0:
             return math.comb(j, n)
         return sign_power(n) * math.comb(n - j - 1, n)
-    q = _as_fraction(j)
+    q = _rational(j)
     acc = Fraction(1)
     for k in range(1, n + 1):
         acc *= (q - k + 1) / k

@@ -330,8 +330,13 @@ class VertexEngine:
             out = cache[(word, i)] = out.translate()
         return out
 
+    def word_state(self, word: NormalWord) -> VertexElement:
+        """The state of one canonical word, built without validation: the
+        engine builds its words from declared generators."""
+        return self.zero._build({word: 1}, {}, {})
+
     def atom_element(self, atom) -> VertexElement:
-        return VertexElement(self.alg, words={NormalWord((atom,)): 1})
+        return self.word_state(NormalWord((atom,)))
 
     def insert_atom(self, atom, y: VertexElement) -> VertexElement:
         """Normal product of a single derivative atom with a canonical state
@@ -349,9 +354,7 @@ class VertexEngine:
         head = word.atoms[0]
         ka, kb = self.atom_key(atom), self.atom_key(head)
         if ka < kb or (ka == kb and self.atom_parity(atom) is Parity.EVEN):
-            result = VertexElement(
-                self.alg, words={NormalWord((atom,) + word.atoms): 1}
-            )
+            result = self.word_state(NormalWord((atom,) + word.atoms))
         elif ka == kb:
             # Repeated odd atom: 2 a_(-1) a_(-1) = sum_j (-1)^j (a_(j)a)_(-2-j).
             rest = self._tail_element(word)
@@ -379,7 +382,7 @@ class VertexEngine:
     def _tail_element(self, word: NormalWord) -> VertexElement:
         if len(word) == 1:
             return vacuum(self.alg)
-        return VertexElement(self.alg, words={NormalWord(word.atoms[1:]): 1})
+        return self.word_state(NormalWord(word.atoms[1:]))
 
     def _insert_or_atom(self, atom, tail_atoms) -> VertexElement:
         if not tail_atoms:
@@ -428,6 +431,8 @@ class VertexEngine:
                 base = self._word_bracket(
                     NormalWord(((g, 0),)), U, None if through is None else through - d
                 )
+                if through is None:
+                    self._guard_shift(d, base)
                 result = base.shift_power("lambda", d).scale(sign_power(d))
         elif len(W) == 1 and len(U) == 1:
             h, e = U.atoms[0]
@@ -440,10 +445,8 @@ class VertexEngine:
             else:
                 # [g_lambda d^e h] = sum_k C(e,k) lambda^k T^(e-k) [g_lambda h]
                 base = self._word_bracket(W, NormalWord(((h, 0),)))
-                limit = self.max_lambda_degree
-                if through is None and limit is not None and e + base.degree("lambda") > limit:
-                    # Exact before the expansion: the top coefficient is that of [g_lambda h].
-                    raise EngineLimitError(f"lambda degree exceeds guard {limit}")
+                if through is None:
+                    self._guard_shift(e, base)
                 result = BracketPoly.zero(("lambda",)).combine(
                     (
                         (base if through is None else base.truncated(through - k))
@@ -464,6 +467,16 @@ class VertexEngine:
         self._bracket_cache[key] = (result, through)
         return result if through == top else result.truncated(top)
 
+    def _guard_shift(self, k: int, base: BracketPoly):
+        """Raise the guard's error, before a sesquilinearity rule builds it,
+        when a whole bracket ``lambda^k [g_lambda U]`` (left rule) or
+        ``sum_j C(k,j) lambda^j T^(k-j) [g_lambda h]`` (right rule) exceeds
+        the limit.  Its degree is exactly ``k + deg base``: the top
+        coefficient is that of ``base``, and a zero base gives zero."""
+        limit = self.max_lambda_degree
+        if limit is not None and base.coeffs and k + base.degree("lambda") > limit:
+            raise EngineLimitError(f"lambda degree exceeds guard {limit}")
+
     def _wick_composite_right(self, W: NormalWord, U: NormalWord, top: int | None) -> BracketPoly:
         """Non-abelian Wick formula on ``U = :head rest:``, through ``lambda^top``:
         ``[W_l :hc:] = :[W_l h] c: + p(W,h) :h [W_l c]: + int_0^l [[W_l h]_m c] dm``.
@@ -473,9 +486,7 @@ class VertexEngine:
         head_elem = self.atom_element(head)
         rest_elem = self._tail_element(U)
         t_head = self._word_bracket(W, NormalWord((head,)), top)
-        t_rest = self.bracket(
-            VertexElement(self.alg, words={W: 1}), rest_elem, top
-        )
+        t_rest = self.bracket(self.word_state(W), rest_elem, top)
         terms = []
         for (i,), value in t_head.coeffs.items():
             prod = self.normal_product(value, rest_elem)
@@ -532,8 +543,8 @@ class VertexEngine:
         a_atom = W.atoms[0]
         b_word = NormalWord(W.atoms[1:])
         a_elem = self.atom_element(a_atom)
-        b_elem = VertexElement(self.alg, words={b_word: 1})
-        c_elem = VertexElement(self.alg, words={U: 1})
+        b_elem = self.word_state(b_word)
+        c_elem = self.word_state(U)
         terms = [(self.insert_atom(a_atom, self._word_product(b_word, U)), 1)]
         terms += [
             (self.nproduct(a_elem, -2 - j, prod), 1)

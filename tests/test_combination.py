@@ -90,6 +90,27 @@ def test_shared_module_arithmetic(build):
     assert x.combine([]) == x
 
 
+@pytest.mark.parametrize("build", CASES.values(), ids=CASES.keys())
+def test_a_sum_that_adds_nothing_returns_its_operand(build):
+    x, zero = build(2, C), build(0, 0)
+    assert x.combine([]) is x
+    assert x.combine(iter(())) is x
+    assert zero.combine([(x, 1)]) is x
+    assert zero.combine(iter([(x, Scalar.one())])) is x
+    assert zero.combine([(x, 3)]) == x.scale(3) == build(6, 3 * C)
+    assert zero.combine([(x, 0)]).is_zero()
+    # Onto a nonzero value, or with two pairs, the sum is built.
+    assert x.combine([(x, 1)]) == build(4, 2 * C)
+    assert zero.combine([(x, 1), (x, -1)]).is_zero()
+
+
+def test_a_one_term_sum_still_checks_the_context():
+    with pytest.raises(ValueError, match="different alg"):
+        vx.zero(VIR).combine([(vx.state(neveu_schwarz(), "L"), 1)])
+    with pytest.raises(ValueError, match="different variables"):
+        BracketPoly.zero(("mu",)).combine([(BracketPoly.constant(1), 1)])
+
+
 def test_sums_leave_cached_engine_results_unchanged():
     alg = neveu_schwarz()
     eng = vx.engine(alg)

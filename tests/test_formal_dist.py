@@ -75,6 +75,18 @@ def test_expand_w_dominant_inverse_square():
     assert product.coeff_map() == {(0, 0): Scalar.one()}
 
 
+def test_expand_power_coefficients_are_the_binomials():
+    order = 200
+    for k in range(-10, 11):
+        terms = order if k < 0 else k + 1
+        z_dominant = {(k - j, j): binom(k, j) * (-1) ** j for j in range(terms)}
+        w_dominant = {(j, k - j): binom(k, j) * (-1) ** abs(k - j) for j in range(terms)}
+        for orientation, expected in ((Z_DOMINANT, z_dominant), (W_DOMINANT, w_dominant)):
+            series = expand_power(k, orientation, order)
+            assert series.coeff_map() == {e: c for e, c in expected.items() if c}, (k, orientation)
+            assert all(type(c) is int for _, c in series.coeffs)
+
+
 def test_expansion_derivation_commutes():
     for k in range(-3, 0):
         for orientation in (Z_DOMINANT, W_DOMINANT):

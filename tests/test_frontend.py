@@ -583,6 +583,24 @@ def test_lambda_degree_limit_bounds_the_terms_an_nproduct_builds(capsys):
         assert (captured.out, captured.err) == ("", "vacalc: lambda degree exceeds guard 1\n")
 
 
+def test_lambda_degree_guard_covers_the_whole_inner_bracket_of_a_flip(capsys):
+    # nproduct(:e f:, 0, d^400(h)) flips through quasi-symmetry and needs the
+    # whole [d^400(h)_lambda :e f:], of degree 401: the left rule trips the
+    # guard before it shifts, as bracket on the same operands does.
+    base = ["--builtin", "current_sl2"]
+    for query in (["nproduct", ":e f:", "0", "d^400(h)"], ["bracket", ":e f:", "d^400(h)"]):
+        assert main(base + query) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "vacalc: lambda degree exceeds guard 64\n")
+    # Through lambda^0 the left rule needs nothing of the shifted bracket.
+    assert main(base + ["nproduct", "d^400(h)", "0", ":e f:"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    # A zero bracket stays zero under either rule, whatever the derivative.
+    for query in (["bracket", "a1", "d^100(a2)"], ["bracket", "d^100(a2)", "a1"]):
+        assert main(["--builtin", "free_boson"] + query) == 0
+        assert capsys.readouterr().out == "0\n"
+
+
 def test_negative_lambda_degree_limit_rejected(capsys):
     assert main(["--builtin", "virasoro", "--max-lambda-degree", "-1", "bracket", "L", "L"]) == 2
     captured = capsys.readouterr()

@@ -143,6 +143,17 @@ def test_commute_requires_matching_indexing(vir):
     assert out == expr({sym("L", 0): 4}, {"C": Fraction(1, 2)})
 
 
+def test_mode_symbols_hash_apart_where_int_hashes_collide():
+    # hash(-1) == hash(-2), so a hash of the index's terms would let these
+    # modes collide in every table that a sweep keys by symbol.
+    assert hash(-1) == hash(-2)
+    indices = [-2, -1, 0, 1, 2, Fraction(-1, 2), Fraction(-3, 2), Scalar.param("n") - 1]
+    modes = [mode("L", i, WEIGHT) for i in indices]
+    assert len({hash(x) for x in modes}) == len(modes)
+    # Equal symbols still hash alike, however the index was given.
+    assert hash(mode("L", Fraction(-4, 2), WEIGHT)) == hash(sym("L", -2))
+
+
 # -- invariants ---------------------------------------------------------------
 
 

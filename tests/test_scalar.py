@@ -162,3 +162,49 @@ def test_narrow_gives_the_narrowest_exact_type():
     for inexact in (0.5, True, "1", None):
         with pytest.raises(TypeError):
             narrow(inexact)
+
+
+def _fraction_built(s):
+    """The same scalar with every coefficient held as a Fraction, as the
+    arithmetic stored it before coefficients were narrowed."""
+    out = Scalar.__new__(Scalar)
+    out._terms = {mono: Fraction(coeff) for mono, coeff in s._terms.items()}
+    return out
+
+
+def _assert_narrow(s):
+    for mono, coeff in s._terms.items():
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator != 1), (
+            mono,
+            coeff,
+        )
+    if s.is_constant():
+        assert type(s.as_rational()) is Fraction
+    ref = _fraction_built(s)
+    assert str(s) == str(ref)
+    assert hash(s) == hash(ref)
+    assert s == ref
+
+
+def test_scalar_coefficients_stay_narrow():
+    rng = rng_for("scalar-narrow")
+    params = ("c", "k")
+    divisors = [2, -3, 6, Fraction(1, 2), Fraction(-4, 3), Fraction(6, 3), Scalar.from_rational(4)]
+    for _ in range(80):
+        a = random_scalar(rng, params=params, max_terms=3)
+        b = random_scalar(rng, params=params, max_terms=3)
+        q = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+        results = [a, b, a + b, a - b, a * b, a * q, q * a, a + q, q - a, a * a * b]
+        results += [a / rng.choice(divisors), (a * b) / 3]
+        results.append(a.substitute({"c": q}))
+        results.append(a.substitute({"c": b, "k": Fraction(1, 2)}))
+        results.append(Scalar.coerce(binom(a, rng.randint(0, 4))))
+        for s in results:
+            _assert_narrow(s)
+    # An int over an int is an exact Fraction, never a float.
+    third = Scalar.from_rational(1) / 3
+    assert type(third._terms[()]) is Fraction and third == Fraction(1, 3)
+    assert type((Scalar.param("c") * 3 / 3)._terms[(("c", 1),)]) is int
+    assert type((third * 3)._terms[()]) is int
+    assert type(Scalar.from_rational(Fraction(8, 4)).as_rational()) is Fraction
+    assert type(Scalar.zero().as_rational()) is Fraction

@@ -102,8 +102,13 @@ def main(argv=None) -> int:
         if "algebra" in options and "builtin" in options:
             raise VacalcError("pass either --algebra or --builtin, not both")
         if "algebra" in options:
-            with open(options["algebra"], encoding="utf-8") as handle:
-                alg = parse_definition(handle.read())
+            path = options["algebra"]
+            try:
+                with open(path, encoding="utf-8") as handle:
+                    text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise VacalcError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+            alg = parse_definition(text)
         elif "builtin" in options:
             alg = builtin(options["builtin"])
         else:
@@ -112,13 +117,7 @@ def main(argv=None) -> int:
         output, code = run_query(
             query, alg, fmt, index_range=index_range, max_lambda_degree=max_degree
         )
-    except ParseError as exc:
-        print(f"vacalc: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"vacalc: {exc}", file=sys.stderr)
-        return 2
-    except VacalcError as exc:
+    except (OSError, VacalcError) as exc:
         print(f"vacalc: {exc}", file=sys.stderr)
         return 2
     print(output)

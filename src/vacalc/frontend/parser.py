@@ -58,6 +58,7 @@ class Token:
 
 
 _SYMBOLS = set("{}()[]+-*/^=,;:_")
+_DIGITS = set("0123456789")  # str.isdigit also accepts U+00B2 (²), which int() cannot read
 
 
 def tokenize(text: str):
@@ -86,9 +87,9 @@ def tokenize(text: str):
             tokens.append(Token("NAME", text[start:i], line, col))
             col += i - start
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i] in _DIGITS:
                 i += 1
             tokens.append(Token("INT", text[start:i], line, col))
             col += i - start
@@ -391,8 +392,10 @@ def _parse_rational(ts: TokenStream) -> Fraction:
     sign = -1 if ts.accept("SYM", "-") else 1
     num = int(ts.expect("INT").text)
     if ts.accept("SYM", "/"):
-        den = int(ts.expect("INT").text)
-        return Fraction(sign * num, den)
+        tok = ts.expect("INT")
+        if int(tok.text) == 0:
+            raise ParseError("division by zero", tok.line, tok.col)
+        return Fraction(sign * num, int(tok.text))
     return Fraction(sign * num)
 
 

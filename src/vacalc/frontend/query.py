@@ -81,23 +81,15 @@ def run_query(
     index_range: int = 2,
     max_lambda_degree=None,
 ):
-    """Execute a query; returns (rendered output, exit code).  A
-    ``max_lambda_degree`` guards the engine for this call only."""
+    """Execute a query; returns (rendered output, exit code).  A query given
+    its own ``max_lambda_degree`` runs on a copy of ``alg`` with an engine of
+    that limit, and leaves ``alg``'s engine and memos untouched."""
     if fmt == "ope" and query.kind not in ("bracket", "ope", "check"):
         raise VacalcError(
             f"--format ope applies to bracket and ope queries, not to {query.kind}"
         )
-    eng = vx.engine(alg)
-    default = eng.max_lambda_degree
     if max_lambda_degree is not None:
-        eng.max_lambda_degree = max_lambda_degree
-    try:
-        return _run(query, alg, fmt, index_range)
-    finally:
-        eng.max_lambda_degree = default
-
-
-def _run(query: Query, alg: AlgebraPresentation, fmt: str, index_range: int):
+        alg = vx.limited_copy(alg, max_lambda_degree)
     if query.kind in ("bracket", "ope"):
         va = parse_vertex_expr(query.args[0], alg)
         vb = parse_vertex_expr(query.args[1], alg)

@@ -32,6 +32,7 @@ whole bracket, so repeated n-products of one pair cost one evaluation.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -237,7 +238,7 @@ class VertexEngine:
         self.alg = alg
         self.max_lambda_degree = max_lambda_degree
         # Memos that live as long as the presentation; ``clear`` empties them.
-        self._bracket_cache: dict = {}  # (W, U) -> ([W_lambda U] through lambda^t, t)
+        self._bracket_cache: dict = {}  # (W, U) -> ([W_lambda U] through lambda^t, t, degree)
         self._insert_cache: dict = {}  # (atom, U) -> :atom U:
         self._product_cache: dict = {}  # (W, U) -> :W U: for a composite W
         self._translate_cache: dict = {}  # W -> T(W)
@@ -397,30 +398,25 @@ class VertexEngine:
         x._require_same(y)
         self.element_parity(x)
         self.element_parity(y)
-        out = BracketPoly.zero(("lambda",)).combine(
+        return BracketPoly.zero(("lambda",)).combine(
             (self._word_bracket(wx, wy, top), sx * sy)
             for wx, sx in sorted(x.words.items(), key=lambda kv: kv[0].atoms)
             for wy, sy in sorted(y.words.items(), key=lambda kv: kv[0].atoms)
         )
-        limit = self.max_lambda_degree
-        if limit is not None and out.degree("lambda") > limit:
-            raise EngineLimitError(f"lambda degree exceeds guard {limit}")
-        return out
 
     def _word_bracket(self, W: NormalWord, U: NormalWord, top: int | None = None) -> BracketPoly:
         """``[W_lambda U]`` through ``lambda^top`` (whole when None).  The memo
         holds one polynomial per pair with the degree through which it is
-        exact (None: whole); a request it covers is cut from it, and a
-        request it does not cover computes the whole bracket."""
+        exact (None: whole) and its lambda-degree; a request it covers is
+        cut from it, and a request it does not cover computes the whole
+        bracket."""
         key = (W, U)
         cached = self._bracket_cache.get(key)
         through = top
         if cached is not None:
-            poly, exact = cached
-            if top == exact:
-                return poly
-            if exact is None or (top is not None and top < exact):
-                return poly.truncated(top)
+            poly, exact, degree = cached
+            if exact is None or (top is not None and top <= exact):
+                return self._guarded(poly, degree, top)
             through = None
         g, d = W.atoms[0]
         if len(W) == 1 and d > 0:
@@ -431,8 +427,6 @@ class VertexEngine:
                 base = self._word_bracket(
                     NormalWord(((g, 0),)), U, None if through is None else through - d
                 )
-                if through is None:
-                    self._guard_shift(d, base)
                 result = base.shift_power("lambda", d).scale(sign_power(d))
         elif len(W) == 1 and len(U) == 1:
             h, e = U.atoms[0]
@@ -445,8 +439,10 @@ class VertexEngine:
             else:
                 # [g_lambda d^e h] = sum_k C(e,k) lambda^k T^(e-k) [g_lambda h]
                 base = self._word_bracket(W, NormalWord(((h, 0),)))
-                if through is None:
-                    self._guard_shift(e, base)
+                # Refused before the e + 1 terms of a whole bracket are built.
+                limit = self.max_lambda_degree
+                if through is None and base.coeffs and e + base.degree("lambda") > limit:
+                    raise EngineLimitError(f"lambda degree exceeds guard {limit}")
                 result = BracketPoly.zero(("lambda",)).combine(
                     (
                         (base if through is None else base.truncated(through - k))
@@ -464,18 +460,18 @@ class VertexEngine:
             result = substitute_skew(inner, through).scale(sign)
         else:
             result = self._wick_composite_right(W, U, through)
-        self._bracket_cache[key] = (result, through)
-        return result if through == top else result.truncated(top)
+        degree = result.degree("lambda")
+        self._bracket_cache[key] = (result, through, degree)
+        return self._guarded(result, degree, top)
 
-    def _guard_shift(self, k: int, base: BracketPoly):
-        """Raise the guard's error, before a sesquilinearity rule builds it,
-        when a whole bracket ``lambda^k [g_lambda U]`` (left rule) or
-        ``sum_j C(k,j) lambda^j T^(k-j) [g_lambda h]`` (right rule) exceeds
-        the limit.  Its degree is exactly ``k + deg base``: the top
-        coefficient is that of ``base``, and a zero base gives zero."""
+    def _guarded(self, poly: BracketPoly, degree: int, top: int | None) -> BracketPoly:
+        """``poly``, of lambda-degree ``degree``, cut after ``lambda^top``: the
+        lambda-degree guard of every bracket that ``_word_bracket`` returns."""
+        out = poly if top is None or top >= degree else poly.truncated(top)
         limit = self.max_lambda_degree
-        if limit is not None and base.coeffs and k + base.degree("lambda") > limit:
+        if degree > limit and out.degree("lambda") > limit:
             raise EngineLimitError(f"lambda degree exceeds guard {limit}")
+        return out
 
     def _wick_composite_right(self, W: NormalWord, U: NormalWord, top: int | None) -> BracketPoly:
         """Non-abelian Wick formula on ``U = :head rest:``, through ``lambda^top``:
@@ -574,6 +570,15 @@ def engine(alg: AlgebraPresentation) -> VertexEngine:
     if eng is None:
         eng = alg._vertex_engine = VertexEngine(alg)
     return eng
+
+
+def limited_copy(alg: AlgebraPresentation, max_lambda_degree: int) -> AlgebraPresentation:
+    """A shallow copy of ``alg`` with empty memos and an engine of its own,
+    limited to ``max_lambda_degree``; states built over it evaluate there."""
+    limited = copy.copy(alg)
+    limited._pair_products = {}
+    limited._vertex_engine = VertexEngine(limited, max_lambda_degree)
+    return limited
 
 
 # ---------------------------------------------------------------------------

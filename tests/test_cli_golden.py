@@ -39,6 +39,10 @@ DEFINITIONS = {
   bracket [psi2, psi2] = K;
 }
 """,
+    "zero-weight-denominator.vac": """algebra w {
+  generator a : even, weight 1/0;
+}
+""",
 }
 
 

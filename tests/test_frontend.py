@@ -98,6 +98,9 @@ def test_syntax_error_reports_position():
     with pytest.raises(ParseError) as err:
         parse_definition("algebra x {\n  param ;\n}")
     assert err.value.line == 2
+    with pytest.raises(ParseError, match="division by zero") as err:
+        parse_definition(VIRASORO_FILE.replace("weight 2", "weight 1/0"))
+    assert (err.value.line, err.value.col) == (4, 32)
 
 
 def test_parity_mismatch_in_rhs_rejected():
@@ -238,7 +241,9 @@ def test_query_and_statement_readings_agree(name, text):
     assert parse_vertex_expr(text, alg) == vx.from_conformal(alg, element)
 
 
-@pytest.mark.parametrize("text", ["L + 2", "d(2)", "L*L", "L/0", "L/c", "L^2"])
+@pytest.mark.parametrize(
+    "text", ["L + 2", "d(2)", "L*L", "L/0", "L/c", "L^2", "\u00b2*L", "d^\u00b2(L)", "\u0663*L"]
+)
 def test_hostile_expressions_rejected_in_both_contexts(vir, text):
     with pytest.raises(ParseError):
         parse_vertex_expr(text, vir)
@@ -273,6 +278,43 @@ def test_lambda_degree_limit_applies_to_one_query():
         run_query(parse_query(["bracket", "L", ":L L:"]), alg, max_lambda_degree=2)
     L = vx.state(alg, "L")
     assert vx.wick_bracket(L, L).degree("lambda") == 3
+
+
+def _outcome(query, alg, limit):
+    try:
+        return run_query(parse_query(query), alg, max_lambda_degree=limit)
+    except EngineLimitError as exc:
+        return str(exc)
+
+
+def test_a_query_limit_leaves_no_state_behind():
+    # A query with its own limit runs on an engine of its own: its memos
+    # cannot answer a later query under the default limit.
+    query = ["nproduct", ":e f:", "0", "d^400(h)"]
+    alg = builtin("current_sl2")
+    assert _outcome(query, alg, 1000) == ("2*d^401(h)", 0)
+    fresh = _outcome(query, builtin("current_sl2"), None)
+    assert fresh == "lambda degree exceeds guard 64"
+    assert _outcome(query, alg, None) == fresh
+
+
+def test_interleaved_query_limits_do_not_affect_each_other():
+    query = ["bracket", "L", ":L L:"]
+    alg = virasoro()
+    for limit in (2, None, 2, 1000, None):
+        assert _outcome(query, alg, limit) == _outcome(query, virasoro(), limit), limit
+
+
+def test_a_query_limit_leaves_the_presentation_engine_untouched():
+    alg = virasoro()
+    eng = vx.engine(alg)
+    run_query(parse_query(["bracket", "L", ":L L:"]), alg)
+    memos = [v for v in vars(eng).values() if isinstance(v, dict)] + [alg._pair_products]
+    sizes = [len(memo) for memo in memos]
+    run_query(parse_query(["bracket", ":L d(L):", "L"]), alg, max_lambda_degree=1000)
+    assert vx.engine(alg) is eng
+    assert eng.max_lambda_degree == 64
+    assert [len(memo) for memo in memos] == sizes
 
 
 def test_mode_output_writes_unit_centrals_like_generators(sl2):
@@ -392,6 +434,16 @@ def test_cli_usage_errors_to_stderr(capsys):
     assert main(["--algebra", "/nonexistent.vac", "check", "skew"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+
+
+def test_algebra_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.vac"
+    path.write_bytes(VIRASORO_FILE.replace("virasoro", "vira\xdfo").encode("latin-1"))
+    assert main(["--algebra", str(path), "check", "skew"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"vacalc: {path}: not UTF-8 text")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_missing_algebra(capsys):
@@ -585,8 +637,9 @@ def test_lambda_degree_limit_bounds_the_terms_an_nproduct_builds(capsys):
 
 def test_lambda_degree_guard_covers_the_whole_inner_bracket_of_a_flip(capsys):
     # nproduct(:e f:, 0, d^400(h)) flips through quasi-symmetry and needs the
-    # whole [d^400(h)_lambda :e f:], of degree 401: the left rule trips the
-    # guard before it shifts, as bracket on the same operands does.
+    # whole [d^400(h)_lambda :e f:], of degree 401: the guard trips when the
+    # left rule's shifted bracket leaves _word_bracket, as bracket on the
+    # same operands does.
     base = ["--builtin", "current_sl2"]
     for query in (["nproduct", ":e f:", "0", "d^400(h)"], ["bracket", ":e f:", "d^400(h)"]):
         assert main(base + query) == 2
@@ -599,6 +652,17 @@ def test_lambda_degree_guard_covers_the_whole_inner_bracket_of_a_flip(capsys):
     for query in (["bracket", "a1", "d^100(a2)"], ["bracket", "d^100(a2)", "a1"]):
         assert main(["--builtin", "free_boson"] + query) == 0
         assert capsys.readouterr().out == "0\n"
+
+
+def test_lambda_degree_guard_covers_the_canonical_form_of_a_word(capsys):
+    # Putting :d^100(f) e: in canonical form needs [d^100(f)_lambda e], of
+    # degree 101.
+    base = ["--builtin", "current_sl2", "weight", ":d^100(f) e:"]
+    assert main(base) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "vacalc: lambda degree exceeds guard 64\n")
+    assert main(["--max-lambda-degree", "1000"] + base) == 0
+    assert capsys.readouterr().out == "102\n"
 
 
 def test_negative_lambda_degree_limit_rejected(capsys):

@@ -589,6 +589,18 @@ def test_lambda_degree_guard_trips_before_a_high_right_derivative_expands():
     assert time.perf_counter() - start < 2.0
 
 
+def test_lambda_degree_guard_reads_memo_hits_too():
+    # The whole [d^400(h)_lambda :e f:], of degree 401, stays memoized when
+    # the guard refuses it; the flip that reads it again is refused again,
+    # while a cut through lambda^0 is within the limit.
+    alg = builtin("current_sl2")
+    ef, high = vx.normal_word(alg, [("e", 0), ("f", 0)]), vx.state(alg, "h", 400)
+    for _ in range(2):
+        with pytest.raises(EngineLimitError, match="exceeds guard 64"):
+            vx.nproduct(ef, 0, high)
+    assert vx.nproduct(high, 0, ef).is_zero()
+
+
 def test_normal_word_hash_is_recomputed_on_unpickling():
     # A word stores its hash, which depends on the string-hash seed: a word
     # unpickled under another seed must still find equal words.

@@ -4,11 +4,11 @@ vertex algebras.
 The layers, bottom up: :mod:`vacalc.scalar` (exact coefficients),
 :mod:`vacalc.formal_dist` (distribution calculus in one and two formal
 variables), :mod:`vacalc.lie_conformal` (presentations, the bracket table
-and the built-ins), :mod:`vacalc.mode_algebra` (Fourier-mode commutators),
-:mod:`vacalc.vertex_calc` (normally ordered words and the lambda-bracket,
-through sesquilinearity and the Wick recursion),
-:mod:`vacalc.checks` (axiom checks), :mod:`vacalc.frontend` (DSL, queries,
-rendering, CLI).
+and the built-ins), :mod:`vacalc.vertex_calc` (normally ordered words and
+the lambda-bracket, through sesquilinearity and the Wick recursion; its
+engine holds every memo), :mod:`vacalc.mode_algebra` (Fourier-mode
+commutators), :mod:`vacalc.checks` (axiom checks), :mod:`vacalc.frontend`
+(DSL, queries, rendering, CLI).
 """
 
 from .scalar import Rational, Scalar, binom

@@ -21,6 +21,7 @@ from .scalar import (
     _reduced,
     binom,
     factorial,
+    monomial_text,
     sign_power,
     sparse_sum,
 )
@@ -70,6 +71,10 @@ class OneVarLaurent(LinearCombination):
                 for e2, v2 in other.coeffs.items()
             )
         )
+
+    def _heads(self):
+        for exp in sorted(self.coeffs):
+            yield monomial_text((("w", exp),)) if exp else "", self.coeffs[exp]
 
     def derive(self) -> "OneVarLaurent":
         return self._build(
@@ -378,11 +383,11 @@ def swap_zw(a: TwoVarDistribution) -> TwoVarDistribution:
     )
 
 
-def fourier_one(f: OneVarLaurent, var: str = "lambda") -> BracketPoly:
+def fourier_one(f: OneVarLaurent) -> BracketPoly:
     """``Res_z e^(lambda z) f(z)``: the coefficient of ``lambda^n / n!`` is the
     coefficient of ``z^(-1-n)`` in f.  Finite because f has finite support."""
     return BracketPoly(
-        (var,),
+        ("lambda",),
         {
             (-1 - exp,): value * Fraction(1, factorial(-1 - exp))
             for exp, value in f.coeffs.items()
@@ -391,9 +396,7 @@ def fourier_one(f: OneVarLaurent, var: str = "lambda") -> BracketPoly:
     )
 
 
-def fourier_two(
-    a: TwoVarDistribution, var: str = "lambda", order: int | None = None
-) -> BracketPoly:
+def fourier_two(a: TwoVarDistribution, order: int | None = None) -> BracketPoly:
     """``Res_z e^(lambda (z-w)) a(z,w)`` as a polynomial in lambda with
     one-variable coefficients.
 
@@ -418,7 +421,7 @@ def fourier_two(
             coeff = Fraction(binom(k, i) * sign_power(k - i), factorial(k))
             series[(k,)] = OneVarLaurent.monomial(k - i + we, value * coeff)
         terms.append((series, 1))
-    return BracketPoly((var,), sparse_sum(terms))
+    return BracketPoly(("lambda",), sparse_sum(terms))
 
 
 def decompose(a: TwoVarDistribution) -> list:

@@ -19,6 +19,7 @@ letter; ``#`` starts a comment.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,6 +92,9 @@ def tokenize(text: str):
             start = i
             while i < len(text) and text[i] in _DIGITS:
                 i += 1
+            limit = sys.get_int_max_str_digits()  # 0: no limit
+            if limit and i - start > limit:
+                raise ParseError(f"integer literal longer than {limit} digits", line, col)
             tokens.append(Token("INT", text[start:i], line, col))
             col += i - start
             continue

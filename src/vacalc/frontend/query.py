@@ -135,7 +135,7 @@ def run_query(
 
     if query.kind == "weight":
         v = parse_vertex_expr(query.args[0], alg)
-        value = vx.weight(v, alg.weight_table())
+        value = vx.weight(v)
         if value is not None:
             text = str(value)
         else:

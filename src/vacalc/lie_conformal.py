@@ -162,7 +162,6 @@ class AlgebraPresentation:
         self._validate_table()
         self.bilinear_form = bilinear_form
         self._vertex_engine = None  # created by vertex_calc.engine on first use
-        self._pair_products: dict = {}  # (a, b) -> generator_products(a, b)
 
     # -- declaration lookups -------------------------------------------------
 
@@ -191,11 +190,6 @@ class AlgebraPresentation:
         if name in self._central_index:
             return Fraction(0)
         raise UndeclaredSymbolError(f"undeclared symbol {name!r}")
-
-    def weight_table(self) -> dict:
-        return {
-            g.name: g.weight for g in self.generators if g.weight is not None
-        }
 
     def acts_as(self, name: str) -> Scalar | None:
         return self.centrals[self._central_index[name]].acts_as
@@ -266,16 +260,6 @@ class AlgebraPresentation:
             return BracketPoly.zero(("lambda",))
         sign = -self.parity(a).sign_with(self.parity(b))
         return substitute_skew(stored).scale(sign)
-
-    def generator_products(self, a: str, b: str) -> tuple:
-        """The nonzero j-products of the generators ``a`` and ``b``, read off
-        the table and memoized for the presentation's lifetime
-        (``VertexEngine.clear`` empties the memo)."""
-        key = (a, b)
-        out = self._pair_products.get(key)
-        if out is None:
-            out = self._pair_products[key] = tuple(self.pair_bracket(a, b).j_products())
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraPresentation):

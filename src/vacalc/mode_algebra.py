@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .lie_conformal import AlgebraPresentation, ConformalElement, VacalcError
 from .scalar import LinearCombination, Scalar, ScalarLike, binom, factorial
+from .vertex_calc import engine
 
 SHIFTED = "shifted"
 WEIGHT = "weight"
@@ -89,12 +90,15 @@ def _kron_delta(x: Scalar) -> int:
     return 1 if x.is_zero() else 0
 
 
-def _check_weight_index(alg: AlgebraPresentation, gen: str, index: Scalar):
+def _declared_weight(alg: AlgebraPresentation, gen: str):
     delta = alg.weight(gen)
     if delta is None:
-        raise VacalcError(
-            f"weight indexing needs a declared weight for {gen!r}"
-        )
+        raise VacalcError(f"weight indexing needs a declared weight for {gen!r}")
+    return delta
+
+
+def _check_weight_index(alg: AlgebraPresentation, gen: str, index: Scalar):
+    delta = _declared_weight(alg, gen)
     if index.is_constant():
         if (index.as_rational() + delta) % 1 != 0:
             raise VacalcError(
@@ -104,7 +108,7 @@ def _check_weight_index(alg: AlgebraPresentation, gen: str, index: Scalar):
 
 
 def normalize_derivative_mode(
-    gen: str, k: int, n: ScalarLike, alg: AlgebraPresentation | None = None
+    gen: str, k: int, n: ScalarLike, alg: AlgebraPresentation
 ) -> ModeExpression:
     """``(d^k g)_(n) = (-1)^k C(n, k) k! g_(n-k)`` in shifted indexing.
 
@@ -114,7 +118,7 @@ def normalize_derivative_mode(
     if k < 0:
         raise ValueError("derivative power must be non-negative")
     n = Scalar.coerce(n)
-    if alg is not None and alg.is_central(gen):
+    if alg.is_central(gen):
         if k > 0:
             return ModeExpression.zero()
         return ModeExpression(central={gen: _kron_delta(n + Scalar.from_rational(1))})
@@ -137,11 +141,7 @@ def _element_mode(
     if indexing == WEIGHT:
         converted = {}
         for sym, value in out.terms.items():
-            weight = alg.weight(sym.gen)
-            if weight is None:
-                raise VacalcError(
-                    f"weight indexing needs a declared weight for {sym.gen!r}"
-                )
+            weight = _declared_weight(alg, sym.gen)
             widx = sym.index - Scalar.from_rational(weight) + Scalar.from_rational(1)
             converted[ModeSymbol(sym.gen, widx, WEIGHT)] = value
         out = out._build(converted, out.central)
@@ -176,7 +176,7 @@ def mode_commutator(
     else:
         ms, ns = m, n
     terms = []
-    for j, cj in alg.generator_products(a, b):
+    for j, cj in engine(alg).generator_products(a, b):
         coeff = binom(ms, j)
         if isinstance(coeff, Scalar):
             if coeff.is_zero():

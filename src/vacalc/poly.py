@@ -47,8 +47,8 @@ class BracketPoly(LinearCombination):
         return cls(variables)
 
     @classmethod
-    def constant(cls, value, variables=("lambda",)) -> "BracketPoly":
-        return cls(variables, {(0,) * len(variables): value})
+    def constant(cls, value) -> "BracketPoly":
+        return cls(("lambda",), {(0,): value})
 
     # -- queries -------------------------------------------------------------
 
@@ -137,25 +137,25 @@ def substitute_skew(poly: BracketPoly, top: int | None = None) -> BracketPoly:
     return poly._build(sparse_sum(terms))
 
 
-def integrate_zero_to_lambda(poly: BracketPoly, var_out: str = "lambda") -> BracketPoly:
-    """Formal integral from 0 to ``var_out`` of a one-variable polynomial:
-    each monomial ``u**k`` maps to ``var_out**(k+1) / (k+1)``."""
+def integrate_zero_to_lambda(poly: BracketPoly) -> BracketPoly:
+    """Formal integral from 0 to ``lambda`` of a one-variable polynomial:
+    each monomial ``u**k`` maps to ``lambda**(k+1) / (k+1)``."""
     if len(poly.variables) != 1:
         raise ValueError("formal integration needs a single bracket variable")
     return BracketPoly(
-        (var_out,),
+        ("lambda",),
         {(k + 1,): value.scale(Fraction(1, k + 1)) for (k,), value in poly.coeffs.items()},
     )
 
 
-def substitute_sum(poly: BracketPoly, variables=("lambda", "mu")) -> BracketPoly:
+def substitute_sum(poly: BracketPoly) -> BracketPoly:
     """Substitute ``nu -> lambda + mu``: a one-variable polynomial becomes a
     two-variable polynomial via the binomial expansion of ``(lambda+mu)**k``.
     Each exponent pair ``(i, k - i)`` comes from a single ``k``."""
     if len(poly.variables) != 1:
         raise ValueError("sum substitution needs a single bracket variable")
     return BracketPoly(
-        variables,
+        ("lambda", "mu"),
         {
             (i, k - i): value.scale(binom(k, i))
             for (k,), value in poly.coeffs.items()
@@ -164,9 +164,7 @@ def substitute_sum(poly: BracketPoly, variables=("lambda", "mu")) -> BracketPoly
     )
 
 
-def embed_bivariate(
-    poly: BracketPoly, position: int, other_power: int, variables=("lambda", "mu")
-) -> BracketPoly:
+def embed_bivariate(poly: BracketPoly, position: int, other_power: int) -> BracketPoly:
     """Embed a one-variable polynomial into two variables, placing its own
     variable at ``position`` (0 or 1) and a fixed power of the other variable."""
     out = {}
@@ -175,4 +173,4 @@ def embed_bivariate(
         exps[position] = k
         exps[1 - position] = other_power
         out[tuple(exps)] = value
-    return BracketPoly(variables, out)
+    return BracketPoly(("lambda", "mu"), out)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .lie_conformal import (
     AlgebraPresentation,
@@ -50,6 +50,7 @@ from .poly import BracketPoly, integrate_zero_to_lambda, substitute_skew
 from .scalar import LinearCombination, Scalar, binom, factorial, sign_power
 
 DEFAULT_MAX_LAMBDA_DEGREE = 64
+_PARITIES = (Parity.EVEN, Parity.ODD)
 
 
 class EngineLimitError(VacalcError):
@@ -173,15 +174,11 @@ class VertexElement(LinearCombination):
             return self._hash
 
     def translate(self) -> "VertexElement":
-        """The translation operator T: Leibniz on words, zero on the vacuum
-        and on centrals."""
-        eng = engine(self.alg)
-        return eng.zero.combine(
-            (eng.translate_word(word), value) for word, value in self.words.items()
-        )
+        return self.translate_power(1)
 
     def translate_power(self, k: int) -> "VertexElement":
-        """``T^k``, word by word from the engine's per-word memo."""
+        """``T^k``, word by word from the engine's per-word memo: Leibniz on
+        words, zero on the vacuum and on centrals."""
         if k < 0:
             raise ValueError("translation power must be non-negative")
         if k == 0:
@@ -237,26 +234,23 @@ class VertexEngine:
     def __init__(self, alg: AlgebraPresentation, max_lambda_degree=DEFAULT_MAX_LAMBDA_DEGREE):
         self.alg = alg
         self.max_lambda_degree = max_lambda_degree
+        self._odd = frozenset(g.name for g in alg.generators if g.parity is Parity.ODD)
         # Memos that live as long as the presentation; ``clear`` empties them.
         self._bracket_cache: dict = {}  # (W, U) -> ([W_lambda U] through lambda^t, t, degree)
         self._insert_cache: dict = {}  # (atom, U) -> :atom U:
         self._product_cache: dict = {}  # (W, U) -> :W U: for a composite W
-        self._translate_cache: dict = {}  # W -> T(W)
-        self._power_cache: dict = {}  # (W, k) -> T^k(W) for k >= 2
-        self._parity_cache: dict = {}  # W -> p(W)
+        self._power_cache: dict = {}  # (W, k) -> T^k(W); a single atom only at k = 1
+        self._pair_products: dict = {}  # (a, b) -> generator_products(a, b)
         self.zero = VertexElement(alg)
 
     def clear(self):
-        """Empty every memo of the presentation, the mode layer's table of
-        generator-pair j-products included."""
+        """Empty every memo of the presentation."""
         for cache in (
             self._bracket_cache,
             self._insert_cache,
             self._product_cache,
-            self._translate_cache,
             self._power_cache,
-            self._parity_cache,
-            self.alg._pair_products,
+            self._pair_products,
         ):
             cache.clear()
 
@@ -267,16 +261,13 @@ class VertexEngine:
         return (self.alg.index(g), -d)
 
     def atom_parity(self, atom) -> Parity:
-        return self.alg.parity(atom[0])
+        return _PARITIES[atom[0] in self._odd]
 
     def word_parity(self, word: NormalWord) -> Parity:
-        p = self._parity_cache.get(word)
-        if p is None:
-            p = Parity.EVEN
-            for atom in word.atoms:
-                p = p + self.atom_parity(atom)
-            self._parity_cache[word] = p
-        return p
+        odd, odd_gens = 0, self._odd
+        for g, _ in word.atoms:
+            odd ^= g in odd_gens
+        return _PARITIES[odd]
 
     def element_parity(self, x: VertexElement) -> Parity:
         parities = {self.word_parity(w) for w in x.words}
@@ -300,33 +291,27 @@ class VertexEngine:
             out = self.insert_atom(atom, out)
         return out
 
-    def translate_word(self, word: NormalWord) -> VertexElement:
-        """``T(word)`` in canonical form: Leibniz over the atoms, each term
-        re-canonicalized (a raised derivative can create a repeated odd atom
-        that must reduce)."""
-        cached = self._translate_cache.get(word)
-        if cached is not None:
-            return cached
-        atoms = word.atoms
-        result = self.zero.combine(
-            (self.word_element(atoms[:i] + ((g, d + 1),) + atoms[i + 1:]), 1)
-            for i, (g, d) in enumerate(atoms)
-        )
-        self._translate_cache[word] = result
-        return result
-
     def translate_word_power(self, word: NormalWord, k: int) -> VertexElement:
-        """``T^k(word)`` for k >= 1: raised in place on a single atom, else
-        memoized.  A miss fills every power above the highest one memoized
-        below k, in a loop, since k may be in the thousands."""
-        if len(word) == 1:
-            (g, d), = word.atoms
+        """``T^k(word)`` for k >= 1, memoized per ``(word, k)``; a single atom
+        is raised in place for k >= 2.  ``T(word)`` is Leibniz over the atoms,
+        each term re-canonicalized (a raised derivative can create a repeated
+        odd atom that must reduce).  A miss fills every power above the
+        highest one memoized below k, in a loop, since k may be in the
+        thousands."""
+        atoms = word.atoms
+        if k > 1 and len(atoms) == 1:
+            (g, d), = atoms
             return self.atom_element((g, d + k))
         cache = self._power_cache
-        j = k
-        while j > 1 and (word, j) not in cache:
+        j, out = k, cache.get((word, k))
+        while out is None and j > 1:
             j -= 1
-        out = cache[(word, j)] if j > 1 else self.translate_word(word)
+            out = cache.get((word, j))
+        if out is None:
+            out = cache[(word, 1)] = self.zero.combine(
+                (self.word_element(atoms[:i] + ((g, d + 1),) + atoms[i + 1:]), 1)
+                for i, (g, d) in enumerate(atoms)
+            )
         for i in range(j + 1, k + 1):
             out = cache[(word, i)] = out.translate()
         return out
@@ -356,27 +341,21 @@ class VertexEngine:
         ka, kb = self.atom_key(atom), self.atom_key(head)
         if ka < kb or (ka == kb and self.atom_parity(atom) is Parity.EVEN):
             result = self.word_state(NormalWord((atom,) + word.atoms))
-        elif ka == kb:
-            # Repeated odd atom: 2 a_(-1) a_(-1) = sum_j (-1)^j (a_(j)a)_(-2-j).
-            rest = self._tail_element(word)
-            pair = self._word_bracket(NormalWord((atom,)), NormalWord((head,)))
-            result = self.zero.combine(
-                (self.nproduct(prod, -2 - j, rest), Fraction((-1) ** j, 2))
-                for j, prod in pair.j_products()
-            )
         else:
-            # Straighten: a b = p(a,b) b a + [a_(-1), b_(-1)].
+            # [a_(-1), b_(-1)] rest = sum_j (-1)^j (a_(j)b)_(-2-j) rest
             rest = self._tail_element(word)
-            sign = self.atom_parity(atom).sign_with(self.atom_parity(head))
-            main = self.insert_atom(head, self._insert_or_atom(atom, word.atoms[1:]))
             pair = self._word_bracket(NormalWord((atom,)), NormalWord((head,)))
-            result = self.zero.combine(
-                [(main, sign)]
-                + [
-                    (self.nproduct(prod, -2 - j, rest), (-1) ** j)
-                    for j, prod in pair.j_products()
-                ]
+            commutator = self.zero.combine(
+                (self.nproduct(prod, -2 - j, rest), (-1) ** j) for j, prod in pair.j_products()
             )
+            if ka == kb:
+                # Repeated odd atom: 2 a_(-1) a_(-1) = [a_(-1), a_(-1)].
+                result = commutator.scale(Fraction(1, 2))
+            else:
+                # Straighten: a b = p(a,b) b a + [a_(-1), b_(-1)].
+                sign = self.atom_parity(atom).sign_with(self.atom_parity(head))
+                main = self.insert_atom(head, self.insert_atom(atom, rest))
+                result = self.zero.combine([(main, sign), (commutator, 1)])
         self._insert_cache[key] = result
         return result
 
@@ -384,11 +363,6 @@ class VertexEngine:
         if len(word) == 1:
             return vacuum(self.alg)
         return self.word_state(NormalWord(word.atoms[1:]))
-
-    def _insert_or_atom(self, atom, tail_atoms) -> VertexElement:
-        if not tail_atoms:
-            return self.atom_element(atom)
-        return self._insert_atom_word(atom, NormalWord(tail_atoms))
 
     # -- the lambda-bracket ----------------------------------------------------------
 
@@ -534,26 +508,23 @@ class VertexEngine:
         cached = self._product_cache.get(key)
         if cached is not None:
             return cached
-        # Quasi-associativity: (a_(-1) b)_(-1) c = a_(-1)(b_(-1) c)
-        #   + sum_j a_(-j-2)(b_(j) c) + p(a,b) sum_j b_(-j-2)(a_(j) c).
-        a_atom = W.atoms[0]
-        b_word = NormalWord(W.atoms[1:])
-        a_elem = self.atom_element(a_atom)
-        b_elem = self.word_state(b_word)
-        c_elem = self.word_state(U)
-        terms = [(self.insert_atom(a_atom, self._word_product(b_word, U)), 1)]
-        terms += [
-            (self.nproduct(a_elem, -2 - j, prod), 1)
-            for j, prod in self.bracket(b_elem, c_elem).j_products()
-        ]
-        sign = self.atom_parity(a_atom).sign_with(self.word_parity(b_word))
-        terms += [
-            (self.nproduct(b_elem, -2 - j, prod), sign)
-            for j, prod in self.bracket(a_elem, c_elem).j_products()
-        ]
-        result = self.zero.combine(terms)
+        # Quasi-associativity: (a_(-1) b)_(-1) c = a_(-1)(b_(-1) c) + defect.
+        a_atom, b_word = W.atoms[0], NormalWord(W.atoms[1:])
+        main = self.insert_atom(a_atom, self._word_product(b_word, U))
+        a, b, c = self.atom_element(a_atom), self.word_state(b_word), self.word_state(U)
+        result = main.add(self.quasi_assoc_defect(a, b, c))
         self._product_cache[key] = result
         return result
+
+    def quasi_assoc_defect(self, a, b, c) -> VertexElement:
+        """``(a_(-1)b)_(-1)c - a_(-1)(b_(-1)c)`` as the sum
+        ``sum_j a_(-j-2)(b_(j)c) + p(a,b) sum_j b_(-j-2)(a_(j)c)``."""
+        sign = self.element_parity(a).sign_with(self.element_parity(b))
+        return self.zero.combine(
+            (self.nproduct(x, -2 - j, prod), s)
+            for x, y, s in ((a, b, 1), (b, a, sign))
+            for j, prod in self.bracket(y, c).j_products()
+        )
 
     def nproduct(self, x: VertexElement, n: int, y: VertexElement) -> VertexElement:
         if n >= 0:
@@ -562,6 +533,15 @@ class VertexEngine:
         j = -1 - n
         left = x.translate_power(j).scale(Fraction(1, factorial(j)))
         return self.normal_product(left, y)
+
+    def generator_products(self, a: str, b: str) -> tuple:
+        """The nonzero j-products of the generators ``a`` and ``b``, read off
+        the table; the mode layer's commutators read them here."""
+        key = (a, b)
+        out = self._pair_products.get(key)
+        if out is None:
+            out = self._pair_products[key] = tuple(self.alg.pair_bracket(a, b).j_products())
+        return out
 
 
 def engine(alg: AlgebraPresentation) -> VertexEngine:
@@ -576,7 +556,6 @@ def limited_copy(alg: AlgebraPresentation, max_lambda_degree: int) -> AlgebraPre
     """A shallow copy of ``alg`` with empty memos and an engine of its own,
     limited to ``max_lambda_degree``; states built over it evaluate there."""
     limited = copy.copy(alg)
-    limited._pair_products = {}
     limited._vertex_engine = VertexEngine(limited, max_lambda_degree)
     return limited
 
@@ -627,11 +606,7 @@ def quasi_assoc_rewrite(x: VertexElement, y: VertexElement) -> VertexElement:
 def quasi_assoc_defect_sum(a, b, c) -> VertexElement:
     """Associativity defect ``(a_(-1)b)_(-1)c - a_(-1)(b_(-1)c)`` as the sum
     ``sum_j a_(-j-2)(b_(j)c) + p(a,b) sum_j b_(-j-2)(a_(j)c)``."""
-    eng = engine(a.alg)
-    terms = [(eng.nproduct(a, -2 - j, prod), 1) for j, prod in eng.bracket(b, c).j_products()]
-    sign = eng.element_parity(a).sign_with(eng.element_parity(b))
-    terms += [(eng.nproduct(b, -2 - j, prod), sign) for j, prod in eng.bracket(a, c).j_products()]
-    return eng.zero.combine(terms)
+    return engine(a.alg).quasi_assoc_defect(a, b, c)
 
 
 def quasi_assoc_defect_integral(a, b, c) -> VertexElement:
@@ -655,26 +630,21 @@ def quasi_assoc_defect_integral(a, b, c) -> VertexElement:
 # -- weights ------------------------------------------------------------------
 
 
-def word_weight(word: NormalWord, table: Mapping[str, Fraction]) -> Fraction:
-    total = Fraction(0)
-    for g, d in word.atoms:
-        if g not in table:
-            raise VacalcError(f"no declared weight for generator {g!r}")
-        total += Fraction(table[g]) + d
-    return total
-
-
-def weight(x: VertexElement, table: Mapping[str, Fraction]) -> Fraction | None:
-    """Common weight of a state (vacuum and centrals count as weight 0, a
-    pinned central as its scalar), or None when the state is zero or mixes
-    weights."""
+def weight(x: VertexElement) -> Fraction | None:
+    """Common weight of a state over its presentation's declared weights
+    (vacuum and centrals count as weight 0, a pinned central as its scalar),
+    or None when the state is zero or mixes weights."""
     x = x.folded()
-    values = {word_weight(w, table) for w in x.words}
-    if x._vacuum or x.centrals:
-        values.add(Fraction(0))
-    if len(values) == 1:
-        return values.pop()
-    return None
+    values = {Fraction(0)} if x._vacuum or x.centrals else set()
+    for word in x.words:
+        total = Fraction(0)
+        for g, d in word.atoms:
+            w = x.alg.weight(g)
+            if w is None:
+                raise VacalcError(f"no declared weight for generator {g!r}")
+            total += w + d
+        values.add(total)
+    return values.pop() if len(values) == 1 else None
 
 
 @dataclass

@@ -410,14 +410,11 @@ def test_criterion_09_formal_calculus_kernel():
 
 def test_criterion_10_weight_calculus():
     alg = uncharged_superfermions(0, 2)
-    table = alg.weight_table()
-    assert vx.weight(
-        vx.normal_word(alg, [("psi1", 1), ("psi1", 0)]), table
-    ) == Fraction(2)
+    assert vx.weight(vx.normal_word(alg, [("psi1", 1), ("psi1", 0)])) == Fraction(2)
     L = vx.fermion_conformal_vector(alg)
-    assert vx.weight(L.translate(), table) == Fraction(3)
+    assert vx.weight(L.translate()) == Fraction(3)
     vir = virasoro()
-    assert vx.weight(vx.state(vir, "L").translate(), vir.weight_table()) == 3
+    assert vx.weight(vx.state(vir, "L").translate()) == 3
     result = vx.primary_check("psi1", L)
     assert result.kind == "primary" and result.weight == Fraction(1, 2)
 
@@ -425,12 +422,12 @@ def test_criterion_10_weight_calculus():
     for _ in range(20):
         a = random_state(rng, alg, max_len=1)
         b = random_state(rng, alg, max_len=1)
-        wa, wb = vx.weight(a, table), vx.weight(b, table)
+        wa, wb = vx.weight(a), vx.weight(b)
         for n in range(-3, 4):
             out = vx.nproduct(a, n, b)
             if out.is_zero():
                 continue
-            w = vx.weight(out, table)
+            w = vx.weight(out)
             if w is not None:
                 assert w == wa + wb - n - 1
     report(10, "weight calculus: words, derivatives, primaries, additivity sweep")

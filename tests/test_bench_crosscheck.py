@@ -37,3 +37,19 @@ def test_catalogue_replays_to_its_references(monkeypatch):
                 wrong.append(op.entry["id"])
     assert replayed == 840
     assert not wrong, wrong
+
+
+def test_tracer_hooks_resolve(monkeypatch):
+    # A traced function or memo that a refactor renames reads 0 in every
+    # per-layer metric that counts it, without any error.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import layers
+    from vacalc.lie_conformal import virasoro
+    from vacalc.vertex_calc import VertexEngine
+
+    retired = {"lie_conformal:lambda_bracket", "lie_conformal:j_products"}
+    targets = {*layers.ENTRY_POINTS.values(), *layers.CACHE_LOOKUPS.values()} - retired
+    assert [t for t in sorted(targets) if layers._resolve(t) is None] == []
+    engine = VertexEngine(virasoro())
+    for attr in layers.CACHE_LOOKUPS:
+        assert type(getattr(engine, attr, None)) is dict, attr

@@ -116,7 +116,7 @@ def test_sums_leave_cached_engine_results_unchanged():
     eng = vx.engine(alg)
     word = vx.NormalWord([("L", 0), ("G", 0)])
     single = vx.NormalWord([("G", 0)])
-    translated = eng.translate_word(word)
+    translated = eng.translate_word_power(word, 1)
     bracket = eng._word_bracket(single, word)
     normal = eng._word_product(word, word)
     power = eng.translate_word_power(word, 3)
@@ -135,7 +135,7 @@ def test_sums_leave_cached_engine_results_unchanged():
     state.translate_power(4).add(state.translate_power(3))
     eng.normal_product(state, state.add(state.translate_power(3)))
 
-    assert eng.translate_word(word) is translated
+    assert eng.translate_word_power(word, 1) is translated
     assert eng._word_bracket(single, word) is bracket
     assert eng._word_product(word, word) is normal
     assert eng.translate_word_power(word, 3) is power

@@ -184,6 +184,14 @@ def test_fourier_two():
         assert out.coefficient((k,), OneVarLaurent.zero()) == expected
 
 
+def test_fourier_two_prints_as_a_sum():
+    assert str(fourier_two(delta_ladder(2))) == "1/2*lambda^2"
+    ladder = delta_ladder(1, OneVarLaurent({0: Scalar.param("c"), 2: 3}))
+    assert str(fourier_two(ladder)) == "c*lambda + 3*lambda*w^2"
+    out = fourier_two(TwoVarDistribution(regular={(-1, 0): 1}), order=3)
+    assert str(out) == "1 - lambda*w + 1/2*lambda^2*w^2"
+
+
 def test_decompose_round_trip_random():
     rng = rng_for("decompose")
     for _ in range(20):

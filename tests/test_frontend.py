@@ -309,7 +309,7 @@ def test_a_query_limit_leaves_the_presentation_engine_untouched():
     alg = virasoro()
     eng = vx.engine(alg)
     run_query(parse_query(["bracket", "L", ":L L:"]), alg)
-    memos = [v for v in vars(eng).values() if isinstance(v, dict)] + [alg._pair_products]
+    memos = [v for v in vars(eng).values() if isinstance(v, dict)]
     sizes = [len(memo) for memo in memos]
     run_query(parse_query(["bracket", ":L d(L):", "L"]), alg, max_lambda_degree=1000)
     assert vx.engine(alg) is eng
@@ -342,6 +342,20 @@ def test_cli_number_past_the_digit_limit_is_a_usage_error(capsys):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("vacalc: ") and str(sys.get_int_max_str_digits()) in line
+
+
+@pytest.mark.parametrize(
+    "query, col", [(["bracket", "1" * 5000 + "*L", "L"], 1), (["weight", f"d^{'1' * 5000}(L)"], 3)]
+)
+def test_cli_integer_literal_past_the_digit_limit_is_a_parse_error(vir, capsys, query, col):
+    with pytest.raises(ParseError, match="integer literal longer than") as err:
+        parse_vertex_expr(query[1], vir)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert main(["--builtin", "virasoro", *query]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("vacalc: integer literal longer than")
 
 
 def test_cli_negative_product_index(capsys):
